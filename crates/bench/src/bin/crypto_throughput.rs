@@ -1,6 +1,7 @@
 //! Crypto fast-path throughput: scalar baseline vs the batch engine on
 //! full-document encrypt+decrypt, once per AES backend, same run, same
-//! machine.
+//! machine; plus raw block-cipher throughput per AES backend and SHA-256
+//! throughput per compression engine.
 //!
 //! Usage: `cargo run -p pe-bench --bin crypto_throughput --release -- \
 //!     [--smoke] [--out FILE] [--detect]`
@@ -11,7 +12,9 @@
 //! status 0 (supported) or 1 (not) — used by `scripts/ci.sh` to skip the
 //! forced-`aesni` test pass gracefully on hardware without it.
 
-use pe_bench::crypto_bench::{crypto_throughput_matrix, raw_cipher_throughput, render_json};
+use pe_bench::crypto_bench::{
+    crypto_throughput_matrix, raw_cipher_throughput, render_json, sha256_throughput,
+};
 use pe_bench::report::markdown_table;
 use pe_crypto::AesBackend;
 
@@ -105,7 +108,15 @@ fn main() {
         markdown_table(&["backend", "enc MiB/s", "dec MiB/s", "vs table"], &cipher_table)
     );
 
-    let json = render_json(&rows, &cipher_rows, reps);
+    println!("## SHA-256 throughput (1 MiB one-shot digest)\n");
+    let sha256_rows = sha256_throughput(reps);
+    let sha256_table: Vec<Vec<String>> = sha256_rows
+        .iter()
+        .map(|row| vec![row.engine.to_string(), format!("{:.1}", row.mib_s)])
+        .collect();
+    println!("{}", markdown_table(&["engine", "MiB/s"], &sha256_table));
+
+    let json = render_json(&rows, &cipher_rows, &sha256_rows, reps);
     match std::fs::write(out_path, &json) {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => {

@@ -21,6 +21,7 @@ use pe_core::{DocumentKey, IncrementalCipherDoc, RecbDocument, SchemeParams};
 use pe_crypto::aes::reference::ScalarAes128;
 use pe_crypto::aes::FORCE_BACKEND_ENV;
 use pe_crypto::drbg::NonceSource;
+use pe_crypto::sha256::{Sha256, Sha256Engine};
 use pe_crypto::{AesBackend, BlockCipher, CtrDrbg};
 use pe_indexlist::Weighted;
 
@@ -112,6 +113,43 @@ pub fn raw_cipher_throughput(backends: &[AesBackend], reps: usize) -> Vec<Cipher
                 encrypt_mib_s: mib / enc_s,
                 decrypt_mib_s: mib / dec_s,
             }
+        })
+        .collect()
+}
+
+/// SHA-256 throughput for one compression engine over a 1 MiB one-shot
+/// digest — the shape of the server's `contentFromServerHash` over a
+/// whole stored document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sha256Row {
+    /// Engine measured (`portable`/`shani`).
+    pub engine: &'static str,
+    /// Hashing throughput, MiB/s.
+    pub mib_s: f64,
+}
+
+/// Measures SHA-256 throughput per runnable engine over a 1 MiB buffer
+/// (best of `reps`). SHA-NI appears only when CPUID reports it.
+pub fn sha256_throughput(reps: usize) -> Vec<Sha256Row> {
+    let data: Vec<u8> = (0..1 << 20).map(|i: u32| (i * 31 + i / 7) as u8).collect();
+    let mut engines = vec![Sha256Engine::Portable];
+    if Sha256Engine::shani_supported() {
+        engines.push(Sha256Engine::ShaNi);
+    }
+    engines
+        .into_iter()
+        .map(|engine| {
+            let mut best = f64::INFINITY;
+            for _ in 0..reps.max(1) {
+                let (digest, t) = timed(|| {
+                    let mut hasher = Sha256::with_engine(engine);
+                    hasher.update(&data);
+                    hasher.finalize()
+                });
+                std::hint::black_box(digest);
+                best = best.min(t.as_secs_f64());
+            }
+            Sha256Row { engine: engine.name(), mib_s: 1.0 / best }
         })
         .collect()
 }
@@ -284,7 +322,12 @@ pub fn crypto_throughput_matrix(
 }
 
 /// Renders the rows as the JSON document committed as `BENCH_crypto.json`.
-pub fn render_json(rows: &[ThroughputRow], cipher_rows: &[CipherRow], reps: usize) -> String {
+pub fn render_json(
+    rows: &[ThroughputRow],
+    cipher_rows: &[CipherRow],
+    sha256_rows: &[Sha256Row],
+    reps: usize,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"crypto_throughput\",\n");
     out.push_str("  \"mode\": \"recb\",\n");
@@ -324,6 +367,16 @@ pub fn render_json(rows: &[ThroughputRow], cipher_rows: &[CipherRow], reps: usiz
             if i + 1 == cipher_rows.len() { "" } else { "," },
         ));
     }
+    out.push_str("  ],\n");
+    out.push_str("  \"sha256_rows\": [\n");
+    for (i, row) in sha256_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"engine\": \"{}\", \"mib_s\": {:.2}}}{}\n",
+            row.engine,
+            row.mib_s,
+            if i + 1 == sha256_rows.len() { "" } else { "," },
+        ));
+    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -347,7 +400,8 @@ mod tests {
     fn json_report_is_well_formed() {
         let rows = crypto_throughput(&[512], 1, 9);
         let cipher_rows = raw_cipher_throughput(&[AesBackend::Table], 1);
-        let json = render_json(&rows, &cipher_rows, 1);
+        let sha256_rows = sha256_throughput(1);
+        let json = render_json(&rows, &cipher_rows, &sha256_rows, 1);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"size_bytes\": 512"));
         assert!(json.contains("roundtrip_speedup"));
@@ -355,6 +409,7 @@ mod tests {
         assert!(json.contains("\"aesni_supported\": "));
         assert!(json.contains("\"cipher_rows\""));
         assert!(json.contains("\"encrypt_mib_s\""));
+        assert!(json.contains("\"engine\": \"portable\""));
         // Balanced braces/brackets (a cheap structural check without a
         // JSON parser in the dependency set).
         assert_eq!(json.matches('{').count(), json.matches('}').count());

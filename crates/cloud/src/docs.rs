@@ -25,6 +25,7 @@
 //! examples), or a durable [`pe_store::LogStore`] in the `pedit serve`
 //! stack, where an acknowledged save survives `kill -9`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use pe_crypto::form;
@@ -224,13 +225,13 @@ impl DocsServer {
         ));
         for id in self.store.list() {
             let Some(doc) = self.store.get(&id) else { continue };
-            let mut fields: Vec<(String, String)> = vec![
-                ("docID".into(), id.clone()),
-                ("content".into(), String::from_utf8_lossy(&doc.content).into_owned()),
-                ("version".into(), doc.version.to_string()),
+            let mut fields: Vec<(&str, Cow<'_, str>)> = vec![
+                ("docID", Cow::Borrowed(id.as_str())),
+                ("content", String::from_utf8_lossy(&doc.content)),
+                ("version", Cow::Owned(doc.version.to_string())),
             ];
             for revision in &doc.revisions {
-                fields.push(("revision".into(), String::from_utf8_lossy(revision).into_owned()));
+                fields.push(("revision", String::from_utf8_lossy(revision)));
             }
             out.push_str(&form::encode_pairs(&fields));
             out.push('\n');
@@ -356,11 +357,11 @@ impl DocsServer {
         let Some(doc) = self.store.get(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&doc.content).into_owned();
+        let content = String::from_utf8_lossy(&doc.content);
         let hash = Self::content_hash(&content);
         Response::ok(form::encode_pairs(&[
             ("sessionID", session.as_str()),
-            ("content", content.as_str()),
+            ("content", content.as_ref()),
             ("contentHash", hash.as_str()),
             ("version", doc.version.to_string().as_str()),
         ]))
@@ -373,7 +374,9 @@ impl DocsServer {
         if !self.store.contains(doc_id) {
             return Response::error(404, "no such document");
         }
-        let (new_content, version, change) =
+        // `stored` is the document's new bytes: borrowed from the request
+        // on a full save, the store's result on a delta save.
+        let (stored, version, change) =
             if let Some(contents) = form::first_value(&pairs, "docContents") {
                 if contents.len() > MAX_DOC_BYTES {
                     return Response::error(413, "document exceeds 500kB limit");
@@ -382,7 +385,11 @@ impl DocsServer {
                     Ok(v) => v,
                     Err(e) => return store_error(&e),
                 };
-                (contents.to_string(), version, SaveChange::Full(contents.to_string()))
+                (
+                    Cow::Borrowed(contents.as_bytes()),
+                    version,
+                    SaveChange::Full(contents.to_string()),
+                )
             } else if let Some(delta_text) = form::first_value(&pairs, "delta") {
                 let Ok(delta) = Delta::parse(delta_text) else {
                     return Response::error(400, "malformed delta");
@@ -401,7 +408,7 @@ impl DocsServer {
                 };
                 match self.store.apply_delta(doc_id, &delta, limits) {
                     Ok(state) => (
-                        String::from_utf8_lossy(&state.content).into_owned(),
+                        Cow::Owned(state.content),
                         state.version,
                         SaveChange::Delta(delta_text.to_string()),
                     ),
@@ -416,7 +423,7 @@ impl DocsServer {
         // field stays empty on ordinary saves (the client already holds
         // the content); the hash is what collaboration coordination uses.
         // `version` is the change-stream sequence this save landed at.
-        let hash = Self::content_hash(&new_content);
+        let hash = Self::content_hash(&String::from_utf8_lossy(&stored));
         Response::ok(form::encode_pairs(&[
             ("contentFromServer", ""),
             ("contentFromServerHash", hash.as_str()),
@@ -428,7 +435,7 @@ impl DocsServer {
         let Some(doc) = self.store.get(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&doc.content).into_owned();
+        let content = String::from_utf8_lossy(&doc.content);
         let hash = Self::content_hash(&content);
         let version = doc.version.to_string();
         // 304-style fast path for passive readers: when the caller already
@@ -442,7 +449,7 @@ impl DocsServer {
             ]));
         }
         Response::ok(form::encode_pairs(&[
-            ("content", content.as_str()),
+            ("content", content.as_ref()),
             ("contentHash", hash.as_str()),
             ("version", version.as_str()),
         ]))

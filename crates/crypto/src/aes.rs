@@ -38,7 +38,8 @@
 use crate::BlockCipher;
 
 /// Environment variable that pins the cipher backend (`scalar`, `table`,
-/// or `aesni`), overriding CPUID-based auto-selection.
+/// or `aesni`), overriding CPUID-based auto-selection. It pins the
+/// SHA-256 engine too: see [`crate::sha256::Sha256Engine::selected`].
 pub const FORCE_BACKEND_ENV: &str = "PE_CRYPTO_FORCE_BACKEND";
 
 /// Which cipher engine a key schedule was built on.

@@ -14,8 +14,9 @@
 //!
 //! # Safety
 //!
-//! This is the only module in `pe-crypto` that uses `unsafe` (the crate
-//! is `#![deny(unsafe_code)]`; this module carries a scoped allow). The
+//! This module and [`crate::shani`] are the only ones in `pe-crypto`
+//! that use `unsafe` (the crate is `#![deny(unsafe_code)]`; each carries
+//! a scoped allow). The
 //! contract is narrow and enforced at one spot: [`Schedule::expand`] is
 //! the sole constructor and asserts [`supported`] — i.e. CPUID reports
 //! the `aes` feature — before touching any intrinsic. Every other unsafe

@@ -14,38 +14,47 @@
 //! );
 //! ```
 
-use crate::sha256::Sha256;
+use crate::sha256::{Sha256, Sha256Engine};
 
 const BLOCK_LEN: usize = 64;
 
 /// Streaming HMAC-SHA-256.
+///
+/// Both hash states are keyed at construction, so cloning a keyed
+/// instance (as [`crate::pbkdf2`] does once per iteration) skips the two
+/// key-block compressions.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
+    /// Hash of `key ^ ipad` followed by the message so far.
     inner: Sha256,
-    /// Key XORed with the opad, kept to finish the outer hash.
-    opad_key: [u8; BLOCK_LEN],
+    /// Hash of `key ^ opad`, awaiting the inner digest.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
     /// Creates an HMAC instance for `key`. Keys longer than the SHA-256
     /// block size are first hashed, per RFC 2104.
     pub fn new(key: &[u8]) -> HmacSha256 {
+        HmacSha256::with_engine(key, Sha256Engine::selected())
+    }
+
+    /// Like [`HmacSha256::new`], with both hashes pinned to `engine` (see
+    /// [`Sha256::with_engine`]).
+    pub fn with_engine(key: &[u8], engine: Sha256Engine) -> HmacSha256 {
         let mut padded = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let digest = Sha256::digest(key);
-            padded[..32].copy_from_slice(&digest);
+            let mut hasher = Sha256::with_engine(engine);
+            hasher.update(key);
+            padded[..32].copy_from_slice(&hasher.finalize());
         } else {
             padded[..key.len()].copy_from_slice(key);
         }
-        let mut ipad_key = [0u8; BLOCK_LEN];
-        let mut opad_key = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad_key[i] = padded[i] ^ 0x36;
-            opad_key[i] = padded[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
+        let keyed = |pad: u8| {
+            let mut hasher = Sha256::with_engine(engine);
+            hasher.update(&padded.map(|b| b ^ pad));
+            hasher
+        };
+        HmacSha256 { inner: keyed(0x36), outer: keyed(0x5c) }
     }
 
     /// Absorbs message data.
@@ -55,10 +64,8 @@ impl HmacSha256 {
 
     /// Produces the 32-byte authentication tag.
     pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }

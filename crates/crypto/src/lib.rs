@@ -29,8 +29,13 @@
 //! AES dispatches over three byte-identical backends, selected once per
 //! cipher construction ([`aes::AesBackend::select`]): hardware AES-NI
 //! when CPUID reports it, the software T-table path otherwise, and the
-//! byte-oriented scalar reference. `PE_CRYPTO_FORCE_BACKEND={scalar,
-//! table,aesni}` pins the choice for tests and benchmarks.
+//! byte-oriented scalar reference. SHA-256 (and so HMAC, PBKDF2 and
+//! HKDF) dispatches over two byte-identical compression engines, chosen
+//! once per process ([`sha256::Sha256Engine::selected`]): the x86-64 SHA
+//! extensions when CPUID reports them, the portable rounds otherwise.
+//! `PE_CRYPTO_FORCE_BACKEND={scalar,table,aesni}` pins both choices for
+//! tests and benchmarks: `scalar` and `table` also force the portable
+//! SHA-256, `aesni` leaves SHA-NI on where the CPU has it.
 //!
 //! # Security note
 //!
@@ -54,8 +59,9 @@
 //! assert_eq!(block, original);
 //! ```
 
-// `deny` rather than `forbid`: the AES-NI module carries the one scoped
-// allow in the crate, with per-call SAFETY comments (see `aesni`).
+// `deny` rather than `forbid`: the AES-NI and SHA-NI modules carry the
+// crate's two scoped allows, with per-call SAFETY comments (see `aesni`
+// and `shani`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -73,6 +79,9 @@ pub mod hmac;
 pub mod kw;
 pub mod pbkdf2;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub(crate) mod shani;
 pub mod zeroize;
 
 pub use aes::{Aes128, Aes256, AesBackend};

@@ -24,15 +24,28 @@ use crate::hmac::HmacSha256;
 ///
 /// Panics if `iterations` is zero (RFC 2898 requires a positive count).
 pub fn pbkdf2_sha256(password: &[u8], salt: &[u8], iterations: u32, out: &mut [u8]) {
+    pbkdf2_with_prf(&HmacSha256::new(password), salt, iterations, out);
+}
+
+/// PBKDF2 over an already-keyed PRF: `prf` is HMAC-SHA-256 keyed with the
+/// password and fed nothing yet. Every PRF call clones it, so the key
+/// blocks are compressed once per derivation rather than per iteration.
+/// [`pbkdf2_sha256`] is this with [`HmacSha256::new`]; callers pick a
+/// SHA-256 engine with [`HmacSha256::with_engine`].
+///
+/// # Panics
+///
+/// Panics if `iterations` is zero (RFC 2898 requires a positive count).
+pub fn pbkdf2_with_prf(prf: &HmacSha256, salt: &[u8], iterations: u32, out: &mut [u8]) {
     assert!(iterations > 0, "PBKDF2 iteration count must be positive");
     for (block_index, chunk) in (1u32..).zip(out.chunks_mut(32)) {
-        let mut mac = HmacSha256::new(password);
+        let mut mac = prf.clone();
         mac.update(salt);
         mac.update(&block_index.to_be_bytes());
         let mut u = mac.finalize();
         let mut t = u;
         for _ in 1..iterations {
-            let mut mac = HmacSha256::new(password);
+            let mut mac = prf.clone();
             mac.update(&u);
             u = mac.finalize();
             for (acc, byte) in t.iter_mut().zip(u.iter()) {

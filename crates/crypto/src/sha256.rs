@@ -4,6 +4,15 @@
 //! authentication ([`crate::hmac`]), and the simulated server's
 //! `contentFromServerHash` field.
 //!
+//! # Engines
+//!
+//! The compression function runs on one of two byte-identical
+//! [`Sha256Engine`]s: the x86-64 SHA extensions (SHA-NI) when CPUID
+//! reports them, otherwise the portable scalar code. The choice is made
+//! once per process ([`Sha256Engine::selected`]) and follows the AES
+//! override: `PE_CRYPTO_FORCE_BACKEND=scalar|table` pins the portable
+//! engine, `aesni` (or no override) uses SHA-NI where the CPU has it.
+//!
 //! # Example
 //!
 //! ```
@@ -16,6 +25,10 @@
 //! );
 //! ```
 
+use std::sync::OnceLock;
+
+use crate::aes::{AesBackend, FORCE_BACKEND_ENV};
+
 /// Initial hash values (FIPS-180-4 §5.3.3).
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -23,7 +36,7 @@ const H0: [u32; 8] = [
 ];
 
 /// Round constants (FIPS-180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -35,6 +48,71 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
     0xc67178f2,
 ];
+
+/// Which compression engine a hasher runs on. Both produce identical
+/// digests; the choice only affects speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Sha256Engine {
+    /// Portable scalar FIPS-180-4 rounds.
+    Portable,
+    /// x86-64 SHA extensions (`sha256rnds2`/`sha256msg1`/`sha256msg2`).
+    ShaNi,
+}
+
+impl Sha256Engine {
+    /// Stable lowercase name (`portable` / `shani`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Sha256Engine::Portable => "portable",
+            Sha256Engine::ShaNi => "shani",
+        }
+    }
+
+    /// Whether this CPU can run the SHA-NI engine (x86-64 with the
+    /// `sha`, `ssse3` and `sse4.1` CPUID feature flags).
+    pub fn shani_supported() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            crate::shani::supported()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    /// The engine [`Sha256::new`] uses, chosen on first call and cached
+    /// for the life of the process: portable when [`FORCE_BACKEND_ENV`]
+    /// pins a software AES backend (`scalar` or `table`), otherwise
+    /// SHA-NI when CPUID reports it. The first call counts the choice
+    /// under `crypto.sha256.<name>` so `pedit stats` shows it.
+    pub fn selected() -> Sha256Engine {
+        static SELECTED: OnceLock<Sha256Engine> = OnceLock::new();
+        *SELECTED.get_or_init(|| {
+            let forced = std::env::var(FORCE_BACKEND_ENV).ok();
+            let engine = match forced.as_deref().and_then(AesBackend::parse) {
+                Some(AesBackend::Scalar | AesBackend::Table) => Sha256Engine::Portable,
+                Some(AesBackend::AesNi) | None => Sha256Engine::ShaNi.or_fallback(),
+            };
+            pe_observe::counter(&format!("crypto.sha256.{}", engine.name())).inc();
+            engine
+        })
+    }
+
+    /// `self`, or [`Sha256Engine::Portable`] when the CPU cannot run it.
+    fn or_fallback(self) -> Sha256Engine {
+        match self {
+            Sha256Engine::ShaNi if !Sha256Engine::shani_supported() => Sha256Engine::Portable,
+            engine => engine,
+        }
+    }
+}
+
+impl std::fmt::Display for Sha256Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Streaming SHA-256 hasher.
 ///
@@ -48,6 +126,7 @@ pub struct Sha256 {
     buffer_len: usize,
     /// Total message length in bytes.
     total_len: u64,
+    engine: Sha256Engine,
 }
 
 impl Default for Sha256 {
@@ -57,7 +136,8 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the process-wide engine
+    /// ([`Sha256Engine::selected`]).
     ///
     /// # Example
     ///
@@ -69,7 +149,25 @@ impl Sha256 {
     /// assert_eq!(hasher.finalize(), Sha256::digest(b"abc"));
     /// ```
     pub fn new() -> Sha256 {
-        Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
+        Sha256::with_engine(Sha256Engine::selected())
+    }
+
+    /// Creates a fresh hasher pinned to `engine`. Requesting SHA-NI on a
+    /// CPU without it falls back to the portable engine, so parity tests
+    /// run everywhere; [`Sha256::engine`] reports what was used.
+    pub fn with_engine(engine: Sha256Engine) -> Sha256 {
+        Sha256 {
+            state: H0,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 0,
+            engine: engine.or_fallback(),
+        }
+    }
+
+    /// The engine this hasher compresses with.
+    pub fn engine(&self) -> Sha256Engine {
+        self.engine
     }
 
     /// Absorbs `data` into the hash state.
@@ -77,42 +175,40 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
+            let take = (64 - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
-        }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
+            let block = self.buffer;
             self.compress(&block);
-            input = &input[64..];
+            self.buffer_len = 0;
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        let whole = input.len() - input.len() % 64;
+        if whole > 0 {
+            self.compress(&input[..whole]);
         }
+        let rest = &input[whole..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zeros until 8 bytes remain in the final block.
-        self.update_padding(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        // Append 0x80, zeros, then the 64-bit big-endian bit length so the
+        // message ends on a block boundary: one block when the length
+        // fits after the buffered bytes, two otherwise.
+        let mut tail = [0u8; 128];
+        tail[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        tail[self.buffer_len] = 0x80;
+        let end = if self.buffer_len < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.compress(&tail[..end]);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -124,20 +220,22 @@ impl Sha256 {
         hasher.finalize()
     }
 
-    /// Like `update` but without advancing `total_len` (used for padding).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buffer[self.buffer_len] = byte;
-            self.buffer_len += 1;
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
+    /// Runs the compression function over whole 64-byte blocks on this
+    /// hasher's engine.
+    fn compress(&mut self, blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0, "SHA-256 compresses whole 64-byte blocks");
+        match self.engine {
+            #[cfg(target_arch = "x86_64")]
+            Sha256Engine::ShaNi => crate::shani::compress_blocks(&mut self.state, blocks),
+            _ => compress_portable(&mut self.state, blocks),
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The FIPS-180-4 compression function in portable Rust, one block at a
+/// time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -150,7 +248,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -171,14 +269,9 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
 }
 
@@ -187,66 +280,104 @@ mod tests {
     use super::*;
     use crate::hex;
 
+    /// Both engines, so the portable path stays tested on SHA-NI hosts
+    /// (where `Sha256::new` never picks it). On a CPU without SHA-NI the
+    /// second entry falls back and repeats the portable run.
+    const ENGINES: [Sha256Engine; 2] = [Sha256Engine::Portable, Sha256Engine::ShaNi];
+
+    fn digest_on(engine: Sha256Engine, data: &[u8]) -> [u8; 32] {
+        let mut hasher = Sha256::with_engine(engine);
+        hasher.update(data);
+        hasher.finalize()
+    }
+
     #[test]
     fn empty_message() {
-        assert_eq!(
-            hex::encode(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        for engine in ENGINES {
+            assert_eq!(
+                hex::encode(&digest_on(engine, b"")),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "{engine}"
+            );
+        }
     }
 
     #[test]
     fn fips_one_block_message() {
-        assert_eq!(
-            hex::encode(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        for engine in ENGINES {
+            assert_eq!(
+                hex::encode(&digest_on(engine, b"abc")),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                "{engine}"
+            );
+        }
     }
 
     #[test]
     fn fips_two_block_message() {
         let msg = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-        assert_eq!(
-            hex::encode(&Sha256::digest(msg)),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        for engine in ENGINES {
+            assert_eq!(
+                hex::encode(&digest_on(engine, msg)),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+                "{engine}"
+            );
+        }
     }
 
     #[test]
     fn million_a() {
-        let mut hasher = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            hasher.update(&chunk);
+        for engine in ENGINES {
+            let mut hasher = Sha256::with_engine(engine);
+            for _ in 0..1000 {
+                hasher.update(&chunk);
+            }
+            assert_eq!(
+                hex::encode(&hasher.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{engine}"
+            );
         }
-        assert_eq!(
-            hex::encode(&hasher.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn streaming_equals_oneshot_for_all_split_points() {
         let msg: Vec<u8> = (0..200u8).collect();
-        let expect = Sha256::digest(&msg);
-        for split in 0..msg.len() {
-            let mut hasher = Sha256::new();
-            hasher.update(&msg[..split]);
-            hasher.update(&msg[split..]);
-            assert_eq!(hasher.finalize(), expect, "split at {split}");
+        for engine in ENGINES {
+            let expect = digest_on(engine, &msg);
+            for split in 0..msg.len() {
+                let mut hasher = Sha256::with_engine(engine);
+                hasher.update(&msg[..split]);
+                hasher.update(&msg[split..]);
+                assert_eq!(hasher.finalize(), expect, "{engine} split at {split}");
+            }
         }
     }
 
     #[test]
     fn lengths_straddling_block_boundaries() {
-        // Exercise padding for every length around the 64-byte boundary.
+        // Exercise padding for every length around the 64-byte boundary,
+        // byte-at-a-time on one engine against one-shot on the other.
         for len in 55..=130usize {
             let msg = vec![0x5au8; len];
-            let mut hasher = Sha256::new();
+            let mut hasher = Sha256::with_engine(Sha256Engine::Portable);
             for b in &msg {
                 hasher.update(std::slice::from_ref(b));
             }
-            assert_eq!(hasher.finalize(), Sha256::digest(&msg), "len {len}");
+            assert_eq!(hasher.finalize(), digest_on(Sha256Engine::ShaNi, &msg), "len {len}");
         }
+    }
+
+    #[test]
+    fn engine_requests_resolve_to_runnable_engines() {
+        assert_eq!(Sha256::with_engine(Sha256Engine::Portable).engine(), Sha256Engine::Portable);
+        let expected = if Sha256Engine::shani_supported() {
+            Sha256Engine::ShaNi
+        } else {
+            Sha256Engine::Portable
+        };
+        assert_eq!(Sha256::with_engine(Sha256Engine::ShaNi).engine(), expected);
+        assert_eq!(Sha256::new().engine(), Sha256Engine::selected());
     }
 }

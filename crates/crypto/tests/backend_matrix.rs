@@ -1,18 +1,26 @@
-//! Forced-backend matrix: every AES backend must be byte-identical.
+//! Forced-backend matrix: every AES backend and both SHA-256 engines
+//! must be byte-identical.
 //!
 //! The dispatch layer (`AesBackend`) selects between the scalar reference,
 //! the T-table path, and hardware AES-NI once per cipher construction.
 //! These tests pin all three to the FIPS-197 known-answer vectors and to
 //! each other under proptest-generated keys and plaintexts, so CI on a
 //! non-AES-NI host still exercises the dispatch and fallback code while an
-//! AES-NI host proves the hardware schedule bit-for-bit.
+//! AES-NI host proves the hardware schedule bit-for-bit. SHA-256 gets the
+//! same treatment: the SHA-NI engine is checked against the portable one
+//! on random inputs and split points, and HMAC / PBKDF2 KATs run on both.
 //!
 //! Backends are forced in-process via [`Aes128::with_backend`] /
-//! [`Aes256::with_backend`]; the environment-variable override
-//! (`PE_CRYPTO_FORCE_BACKEND`) is exercised by the CI matrix in
-//! `scripts/ci.sh`, which re-runs the whole crypto suite once per value.
+//! [`Aes256::with_backend`] / [`Sha256::with_engine`]; the
+//! environment-variable override (`PE_CRYPTO_FORCE_BACKEND`) is exercised
+//! by the CI matrix in `scripts/ci.sh`, which re-runs the whole crypto
+//! suite once per value.
 
 use pe_crypto::aes::{Aes128, Aes256, AesBackend};
+use pe_crypto::hex;
+use pe_crypto::hmac::HmacSha256;
+use pe_crypto::pbkdf2::pbkdf2_with_prf;
+use pe_crypto::sha256::{Sha256, Sha256Engine};
 use pe_crypto::BlockCipher;
 use proptest::prelude::*;
 
@@ -25,6 +33,31 @@ fn runnable_backends() -> Vec<AesBackend> {
         backends.push(AesBackend::AesNi);
     }
     backends
+}
+
+/// SHA-256 engines that can run on this host (SHA-NI only when CPUID
+/// reports it, for the same reason as [`runnable_backends`]).
+fn runnable_sha_engines() -> Vec<Sha256Engine> {
+    let mut engines = vec![Sha256Engine::Portable];
+    if Sha256Engine::shani_supported() {
+        engines.push(Sha256Engine::ShaNi);
+    }
+    engines
+}
+
+/// Hashes `data` on `engine`, feeding it in pieces cut at `splits`.
+fn sha256_split(engine: Sha256Engine, data: &[u8], splits: &[usize]) -> [u8; 32] {
+    let mut hasher = Sha256::with_engine(engine);
+    assert_eq!(hasher.engine(), engine, "dispatch honoured {engine}");
+    let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+    cuts.sort_unstable();
+    let mut start = 0;
+    for cut in cuts {
+        hasher.update(&data[start..cut]);
+        start = cut;
+    }
+    hasher.update(&data[start..]);
+    hasher.finalize()
 }
 
 // --- FIPS-197 known-answer tests, once per backend -----------------------
@@ -119,6 +152,64 @@ fn backend_names_round_trip_through_parse() {
     }
 }
 
+// --- HMAC / PBKDF2 known-answer tests, once per SHA-256 engine ----------
+
+#[test]
+fn hmac_rfc4231_kats_every_sha_engine() {
+    let cases: [(&[u8], &[u8], &str); 3] = [
+        (
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+        ),
+        (
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+        ),
+        (
+            &[0xaa; 131],
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+        ),
+    ];
+    for engine in runnable_sha_engines() {
+        for (key, message, tag) in cases {
+            let mut mac = HmacSha256::with_engine(key, engine);
+            mac.update(message);
+            assert_eq!(hex::encode(&mac.finalize()), tag, "HMAC KAT on {engine}");
+        }
+    }
+}
+
+#[test]
+fn pbkdf2_kats_every_sha_engine() {
+    // RFC 7914 §11 vector 1, and the widely used PBKDF2-HMAC-SHA-256
+    // "password"/"salt" vector at 4096 iterations.
+    let cases: [(&[u8], &[u8], u32, &str); 2] = [
+        (
+            b"passwd",
+            b"salt",
+            1,
+            "55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc\
+             49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783",
+        ),
+        (
+            b"password",
+            b"salt",
+            4096,
+            "c5e478d59288c841aa530db6845c4c8d962893a001ce4e11a4963873aa98134a",
+        ),
+    ];
+    for engine in runnable_sha_engines() {
+        for (password, salt, iterations, expect) in cases {
+            let mut out = vec![0u8; expect.len() / 2];
+            pbkdf2_with_prf(&HmacSha256::with_engine(password, engine), salt, iterations, &mut out);
+            assert_eq!(hex::encode(&out), expect, "PBKDF2 KAT on {engine}");
+        }
+    }
+}
+
 // --- Cross-backend ciphertext equality (proptests) ------------------------
 
 proptest! {
@@ -186,6 +277,25 @@ proptest! {
 
             cipher.decrypt_blocks(&mut bulk);
             prop_assert_eq!(&bulk, &blocks, "decrypt_blocks on {}", backend);
+        }
+    }
+
+    /// SHA-NI and the portable engine produce the same digest for any
+    /// input and any way of splitting it across `update` calls. Lengths
+    /// are drawn from 0–4 KiB, with the padding edges (55/56 bytes: one
+    /// or two final blocks; 63/64/65 and 119/120: block boundaries)
+    /// pinned so every run covers them.
+    #[test]
+    fn sha256_engines_byte_identical(
+        data in prop_oneof![
+            Just(55usize), Just(56), Just(63), Just(64), Just(65), Just(119), Just(120),
+            0usize..=4096,
+        ].prop_flat_map(|len| proptest::collection::vec(any::<u8>(), len)),
+        splits in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let expect = sha256_split(Sha256Engine::Portable, &data, &[]);
+        for engine in runnable_sha_engines() {
+            prop_assert_eq!(sha256_split(engine, &data, &splits), expect, "{}", engine);
         }
     }
 }

@@ -7,6 +7,7 @@
 //! front of it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -46,6 +47,8 @@ impl Index {
         &self.shards[(hash_id(id) % self.shards.len() as u64) as usize]
     }
 
+    /// Clones the document's state: its content, plus one shared pointer
+    /// per revision.
     pub fn get(&self, id: &str) -> Option<DocState> {
         self.shard(id).read().get(id).cloned()
     }
@@ -94,7 +97,8 @@ impl Index {
         match shard.get_mut(id) {
             Some(doc) => {
                 let previous = std::mem::replace(&mut doc.content, content);
-                doc.revisions.push(previous);
+                // `Arc::new` moves the `Vec` header; the bytes stay put.
+                doc.revisions.push(Arc::new(previous));
                 doc.version += 1;
                 doc.version
             }
@@ -142,9 +146,9 @@ impl Index {
         entries
     }
 
-    /// A point-in-time copy of every document, sorted by id. The caller
-    /// must hold the store's write serializer for the copy to be a
-    /// consistent cut.
+    /// A point-in-time copy of every document, sorted by id (current
+    /// contents copied, revisions shared). The caller must hold the
+    /// store's write serializer for the copy to be a consistent cut.
     pub fn snapshot_docs(&self) -> Vec<(String, DocState)> {
         let mut docs: Vec<(String, DocState)> = self
             .shards
@@ -172,7 +176,7 @@ mod tests {
         assert_eq!(index.apply_save("a", b"two".to_vec()), 2);
         let doc = index.get("a").unwrap();
         assert_eq!(doc.content, b"two");
-        assert_eq!(doc.revisions, vec![Vec::new(), b"one".to_vec()]);
+        assert_eq!(doc.revisions, vec![Arc::new(Vec::new()), Arc::new(b"one".to_vec())]);
         assert!(index.apply_remove("a"));
         assert!(!index.apply_remove("a"));
     }

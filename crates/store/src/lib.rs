@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::sync::Arc;
 
 pub mod crc32;
 mod fault;
@@ -64,6 +65,10 @@ pub use shard::{shard_dir, ShardedLogStore, MANIFEST_NAME, MAX_SHARDS};
 pub use wal::{FsyncPolicy, GroupStats};
 
 /// The stored state of one document, as the provider sees it.
+///
+/// Cloning costs the current content plus one pointer per revision:
+/// revisions are immutable once superseded, so every copy of the state
+/// (a [`DocStore::get`], a compaction snapshot) shares their buffers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocState {
     /// Latest stored bytes (ciphertext under the privacy extension).
@@ -72,7 +77,7 @@ pub struct DocState {
     pub version: u64,
     /// Previous contents, oldest first — the revision history the real
     /// 2011 services kept (and leaked).
-    pub revisions: Vec<Vec<u8>>,
+    pub revisions: Vec<Arc<Vec<u8>>>,
 }
 
 /// Limits enforced atomically when applying a delta.
@@ -170,7 +175,9 @@ impl From<std::io::Error> for StoreError {
 /// [`LogStore`] is durable according to the configured [`FsyncPolicy`]
 /// **before** the call returns — a returned `Ok` is an acknowledgement.
 pub trait DocStore: Send + Sync {
-    /// Full state of a document (content, version, revisions).
+    /// Full state of a document (content, version, revisions). Copies
+    /// the current content only; the revision history comes back as
+    /// shared pointers, so the cost does not grow with the history.
     fn get(&self, id: &str) -> Option<DocState>;
 
     /// Latest content bytes only (cheaper than [`DocStore::get`]).
@@ -266,7 +273,7 @@ pub trait DocStore: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-impl<T: DocStore + ?Sized> DocStore for std::sync::Arc<T> {
+impl<T: DocStore + ?Sized> DocStore for Arc<T> {
     fn get(&self, id: &str) -> Option<DocState> {
         (**self).get(id)
     }

@@ -904,7 +904,7 @@ mod tests {
         let doc = store.get("doc1").unwrap();
         assert_eq!(doc.content, b"v two");
         assert_eq!(doc.version, 2);
-        assert_eq!(doc.revisions, vec![Vec::new(), b"v one".to_vec()]);
+        assert_eq!(doc.revisions, vec![Arc::new(Vec::new()), Arc::new(b"v one".to_vec())]);
         assert_eq!(store.meta("next_doc"), Some(1));
     }
 

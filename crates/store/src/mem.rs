@@ -138,6 +138,7 @@ impl DocStore for MemStore {
 mod tests {
     use super::*;
     use pe_delta::Delta;
+    use std::sync::Arc;
 
     #[test]
     fn full_lifecycle() {
@@ -150,7 +151,10 @@ mod tests {
         assert_eq!(state.content, b"abuvfgw");
         assert_eq!(state.version, 2);
         let full = store.get("d").unwrap();
-        assert_eq!(full.revisions, vec![Vec::new(), b"abcdefg".to_vec()]);
+        assert_eq!(
+            full.revisions,
+            vec![Arc::new(Vec::new()), Arc::new(b"abcdefg".to_vec())]
+        );
         assert!(store.remove("d").unwrap());
         assert!(store.get("d").is_none());
     }

@@ -22,6 +22,7 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::crc32::crc32;
 use crate::wal::sync_dir;
@@ -136,7 +137,7 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotContents, StoreError> {
         let revision_count = r.u32()? as usize;
         let mut revisions = Vec::with_capacity(revision_count.min(1024));
         for _ in 0..revision_count {
-            revisions.push(r.bytes32()?);
+            revisions.push(Arc::new(r.bytes32()?));
         }
         docs.push((id, DocState { content, version, revisions }));
     }
@@ -231,7 +232,7 @@ mod tests {
                 DocState {
                     content: b"cipher".to_vec(),
                     version: 3,
-                    revisions: vec![Vec::new(), b"old".to_vec()],
+                    revisions: vec![Arc::new(Vec::new()), Arc::new(b"old".to_vec())],
                 },
             ),
             ("doc2".to_string(), DocState::default()),

@@ -17,6 +17,8 @@ cargo clippy --workspace --offline -- -D warnings
 echo "== forced-backend crypto matrix =="
 # The whole crypto + core suite must pass under every forced AES backend
 # so non-AES-NI hosts still exercise the dispatch and fallback paths.
+# The same variable pins the SHA-256 engine: scalar and table force the
+# portable compression function, aesni uses SHA-NI where CPUID has it.
 # The aesni pass is skipped gracefully when CPUID says unsupported
 # (--detect exits 1), matching the runtime fallback.
 backends="scalar table"
@@ -65,6 +67,10 @@ if report["aesni_supported"]:
         / (cipher["table"]["encrypt_mib_s"] + cipher["table"]["decrypt_mib_s"])
     assert ratio >= 5.0, f"aesni only {ratio:.1f}x over table"
     print(f"aesni cipher speedup vs table: {ratio:.1f}x")
+engines = {row["engine"]: row for row in report["sha256_rows"]}
+assert "portable" in engines, f"missing portable sha256 row: {sorted(engines)}"
+for row in engines.values():
+    assert row["mib_s"] > 0, row
 print(f"smoke report OK ({len(rows)} rows, backends: {sorted(seen)})")
 PY
 
