@@ -48,6 +48,10 @@ fn main() {
     println!("# Crypto fast-path throughput — full-document encrypt+decrypt (rECB, b=8)\n");
     println!("Scalar = pre-fast-path byte-oriented AES, per-block loop, per-block allocation.");
     println!(
+        "serialize / open = the Base32 wire codec of the fast-path document \
+         (open parses and builds the skip list; it does not decrypt)."
+    );
+    println!(
         "Fast = batch seal/open engine, one row per AES backend \
          (best of {reps} reps; aesni supported: {}).\n",
         AesBackend::aesni_supported()
@@ -62,6 +66,8 @@ fn main() {
                 row.aes_backend.to_string(),
                 format!("{:.3} ms", (row.scalar_encrypt_s + row.scalar_decrypt_s) * 1e3),
                 format!("{:.3} ms", (row.fast_encrypt_s + row.fast_decrypt_s) * 1e3),
+                format!("{:.3} ms", row.fast_serialize_s * 1e3),
+                format!("{:.3} ms", row.fast_open_s * 1e3),
                 format!("{:.1}x", row.encrypt_speedup()),
                 format!("{:.1}x", row.decrypt_speedup()),
                 format!("{:.1}x", row.roundtrip_speedup()),
@@ -77,6 +83,8 @@ fn main() {
                 "backend",
                 "scalar enc+dec",
                 "fast enc+dec",
+                "serialize",
+                "open",
                 "enc speedup",
                 "dec speedup",
                 "roundtrip speedup",

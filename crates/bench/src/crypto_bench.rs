@@ -44,6 +44,12 @@ pub struct ThroughputRow {
     pub fast_encrypt_s: f64,
     /// Fast-path (`RecbDocument::decrypt`) decrypt, seconds.
     pub fast_decrypt_s: f64,
+    /// `serialize` of the document `fast_encrypt_s` built (the Base32
+    /// record codec the server stores), seconds.
+    pub fast_serialize_s: f64,
+    /// `RecbDocument::open` of that serialization (record parse plus
+    /// skip-list build, no decryption), seconds.
+    pub fast_open_s: f64,
 }
 
 impl ThroughputRow {
@@ -227,7 +233,8 @@ pub fn sample_text(len: usize) -> Vec<u8> {
     (0..len).map(|i| alphabet[(i * 31 + i / 7) % alphabet.len()]).collect()
 }
 
-/// Measures full-document encrypt+decrypt at each size, best of `reps`
+/// Measures full-document encrypt+decrypt at each size, plus the wire
+/// codec (serialize and open) of the encrypted document, best of `reps`
 /// repetitions per side (minimum wall time, which is the least noisy
 /// estimator on a shared machine).
 pub fn crypto_throughput(sizes: &[usize], reps: usize, seed: u64) -> Vec<ThroughputRow> {
@@ -243,6 +250,8 @@ pub fn crypto_throughput(sizes: &[usize], reps: usize, seed: u64) -> Vec<Through
             let mut scalar_decrypt_s = f64::INFINITY;
             let mut fast_encrypt_s = f64::INFINITY;
             let mut fast_decrypt_s = f64::INFINITY;
+            let mut fast_serialize_s = f64::INFINITY;
+            let mut fast_open_s = f64::INFINITY;
             for rep in 0..reps {
                 let rep_seed = seed ^ (rep as u64) << 32 ^ size as u64;
                 let mut rng: Box<dyn NonceSource + Send> =
@@ -267,6 +276,14 @@ pub fn crypto_throughput(sizes: &[usize], reps: usize, seed: u64) -> Vec<Through
                 assert_eq!(plain, text, "fast-path roundtrip must hold");
                 fast_encrypt_s = fast_encrypt_s.min(enc.as_secs_f64());
                 fast_decrypt_s = fast_decrypt_s.min(dec.as_secs_f64());
+
+                let (wire, ser) = timed(|| doc.serialize());
+                let rng = CtrDrbg::from_seed(rep_seed);
+                let (reopened, open) =
+                    timed(|| RecbDocument::open(&key, &wire, rng).expect("open"));
+                assert_eq!(reopened.len(), doc.len(), "open must restore every block");
+                fast_serialize_s = fast_serialize_s.min(ser.as_secs_f64());
+                fast_open_s = fast_open_s.min(open.as_secs_f64());
             }
             ThroughputRow {
                 size_bytes: size,
@@ -275,6 +292,8 @@ pub fn crypto_throughput(sizes: &[usize], reps: usize, seed: u64) -> Vec<Through
                 scalar_decrypt_s,
                 fast_encrypt_s,
                 fast_decrypt_s,
+                fast_serialize_s,
+                fast_open_s,
             }
         })
         .collect()
@@ -339,7 +358,8 @@ pub fn render_json(
         out.push_str(&format!(
             "    {{\"size_bytes\": {}, \"aes_backend\": \"{}\", \
              \"scalar_encrypt_s\": {:.6}, \"scalar_decrypt_s\": {:.6}, \
-             \"fast_encrypt_s\": {:.6}, \"fast_decrypt_s\": {:.6}, \"encrypt_speedup\": {:.2}, \
+             \"fast_encrypt_s\": {:.6}, \"fast_decrypt_s\": {:.6}, \
+             \"fast_serialize_s\": {:.9}, \"fast_open_s\": {:.9}, \"encrypt_speedup\": {:.2}, \
              \"decrypt_speedup\": {:.2}, \"roundtrip_speedup\": {:.2}, \
              \"fast_throughput_mib_s\": {:.2}}}{}\n",
             row.size_bytes,
@@ -348,6 +368,8 @@ pub fn render_json(
             row.scalar_decrypt_s,
             row.fast_encrypt_s,
             row.fast_decrypt_s,
+            row.fast_serialize_s,
+            row.fast_open_s,
             row.encrypt_speedup(),
             row.decrypt_speedup(),
             row.roundtrip_speedup(),
@@ -393,6 +415,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.scalar_encrypt_s > 0.0 && row.fast_encrypt_s > 0.0);
+            assert!(row.fast_serialize_s > 0.0 && row.fast_open_s > 0.0);
         }
     }
 
@@ -405,6 +428,7 @@ mod tests {
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"size_bytes\": 512"));
         assert!(json.contains("roundtrip_speedup"));
+        assert!(json.contains("\"fast_serialize_s\": ") && json.contains("\"fast_open_s\": "));
         assert!(json.contains("\"aes_backend\": \""));
         assert!(json.contains("\"aesni_supported\": "));
         assert!(json.contains("\"cipher_rows\""));

@@ -1,9 +1,9 @@
 //! The pre-fast-path `IndexedSkipList`, vendored for the crypto
 //! throughput baseline.
 //!
-//! The shipping list in `pe-indexlist` has since grown an inline tower
-//! representation and a bulk `extend_back` append, both of which make
-//! full-document builds cheaper. The `crypto_throughput` baseline must
+//! The shipping list in `pe-indexlist` has since moved every tower into
+//! one shared link arena and grown a bulk `extend_back` append, both of
+//! which make full-document builds cheaper. The `crypto_throughput` baseline must
 //! replay the *pre-PR* cost, so this module keeps the original layout
 //! exactly: every node owns a heap-allocated `Vec<Link>` tower, and every
 //! insert re-walks from the head, allocating fresh `update`/`ranks`

@@ -23,7 +23,8 @@ use crate::keys::{DocumentKey, Mode, SchemeParams};
 use crate::pack::{chunks, pad8, SealedBlock};
 use crate::splice::{plan, SplicePlan};
 use crate::wire::{
-    decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
+    decode_record, encode_record, serialize_records, split_records, CipherPatch, Layout,
+    Preamble,
 };
 use crate::{EditOp, IncrementalCipherDoc};
 
@@ -169,11 +170,11 @@ impl IncrementalCipherDoc for XorDocument {
     }
 
     fn serialize(&self) -> String {
-        let mut out = Preamble::new(&self.params, self.salt).encode();
-        for block in self.blocks.iter() {
-            out.push_str(&encode_record(block.tag(), &block.cipher));
-        }
-        out
+        serialize_records(
+            Preamble::new(&self.params, self.salt),
+            self.blocks.len_blocks(),
+            self.blocks.iter().map(|block| (block.tag(), &block.cipher)),
+        )
     }
 
     fn layout(&self) -> Layout {

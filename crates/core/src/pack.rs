@@ -1,6 +1,8 @@
 //! Shared block-packing helpers for the incremental schemes.
 
-use pe_indexlist::Weighted;
+use pe_indexlist::{BlockSeq, Weighted};
+
+use crate::error::CoreError;
 
 /// A sealed (encrypted) variable-length block as stored in the block
 /// sequence: the public character count (§V-C: "we have to store the block
@@ -52,6 +54,11 @@ pub(crate) struct SealScratch {
 }
 
 impl SealScratch {
+    /// The blocks the last seal left in the buffers, in order.
+    pub(crate) fn sealed(&self) -> impl ExactSizeIterator<Item = SealedBlock> + '_ {
+        self.bufs.iter().zip(&self.lens).map(|(cipher, &len)| SealedBlock { len, cipher: *cipher })
+    }
+
     /// Clears the buffers (keeping capacity) and reserves for `n` blocks
     /// needing `nonce_bytes` of bulk randomness.
     pub(crate) fn reset(&mut self, n: usize, nonce_bytes: usize) {
@@ -61,6 +68,32 @@ impl SealScratch {
         self.lens.reserve(n);
         self.nonces.clear();
         self.nonces.resize(nonce_bytes, 0);
+    }
+}
+
+/// Builds a block sequence straight from serialized data records, with
+/// no intermediate vector: `parse` turns each record into its block, and
+/// the first record it rejects ends the build with that error.
+pub(crate) fn collect_blocks<'a, S, P>(
+    records: impl Iterator<Item = &'a [u8]>,
+    mut parse: P,
+) -> Result<S, CoreError>
+where
+    S: BlockSeq<SealedBlock> + Default,
+    P: FnMut(&[u8]) -> Result<SealedBlock, CoreError>,
+{
+    let mut failure = None;
+    let mut blocks = S::default();
+    blocks.extend_back(records.map_while(|record| match parse(record) {
+        Ok(block) => Some(block),
+        Err(e) => {
+            failure = Some(e);
+            None
+        }
+    }));
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(blocks),
     }
 }
 

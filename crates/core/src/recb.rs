@@ -28,10 +28,11 @@ use pe_indexlist::{BlockSeq, IndexedSkipList};
 use crate::batch::{self, Direction};
 use crate::error::CoreError;
 use crate::keys::{DocumentKey, Mode, SchemeParams};
-use crate::pack::{chunk_count, chunks, pad8, SealScratch, SealedBlock};
+use crate::pack::{chunk_count, chunks, collect_blocks, pad8, SealScratch, SealedBlock};
 use crate::splice::{plan, SplicePlan};
 use crate::wire::{
-    decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
+    decode_record, encode_record, record_chunks, serialize_records, CipherPatch, Layout,
+    Preamble,
 };
 use crate::{EditOp, IncrementalCipherDoc};
 
@@ -156,9 +157,8 @@ impl<S: BlockSeq<SealedBlock> + Default> RecbDocument<S> {
             scratch: SealScratch::default(),
         };
         let workers = batch::auto_workers(chunk_count(plaintext.len(), params.max_block));
-        let mut sealed = Vec::new();
-        doc.seal_all(plaintext, workers, &mut sealed);
-        doc.blocks.extend_back(sealed);
+        doc.seal_all(plaintext, workers);
+        doc.blocks.extend_back(doc.scratch.sealed());
         Ok(doc)
     }
 
@@ -189,12 +189,12 @@ impl<S: BlockSeq<SealedBlock> + Default> RecbDocument<S> {
                 detail: "key salt does not match document preamble".into(),
             });
         }
-        let records = split_records(serialized)?;
-        if records.is_empty() {
+        let mut records = record_chunks(serialized)?;
+        let Some(header_record) = records.next() else {
             return Err(CoreError::Malformed { detail: "missing header record".into() });
-        }
+        };
         let cipher = key.cipher();
-        let (tag, header_cipher) = decode_record(records[0])?;
+        let (tag, header_cipher) = decode_record(header_record)?;
         if tag != '0' {
             return Err(CoreError::Malformed { detail: "first record is not a header".into() });
         }
@@ -208,21 +208,19 @@ impl<S: BlockSeq<SealedBlock> + Default> RecbDocument<S> {
         }
         let mut r0 = [0u8; 8];
         r0.copy_from_slice(&header[..8]);
-        let mut parsed = Vec::with_capacity(records.len() - 1);
-        for record in &records[1..] {
-            let (tag, block_cipher) = decode_record(record)?;
+        let max_block = preamble.max_block;
+        let blocks = collect_blocks(records, |record| {
+            let (tag, cipher) = decode_record(record)?;
             let len = tag.to_digit(10).filter(|d| (1..=8).contains(d)).ok_or_else(|| {
                 CoreError::Malformed { detail: format!("invalid data record tag {tag:?}") }
             })? as u8;
-            if usize::from(len) > preamble.max_block {
+            if usize::from(len) > max_block {
                 return Err(CoreError::Malformed {
-                    detail: format!("block of {len} chars exceeds b={}", preamble.max_block),
+                    detail: format!("block of {len} chars exceeds b={max_block}"),
                 });
             }
-            parsed.push(SealedBlock { len, cipher: block_cipher });
-        }
-        let mut blocks = S::default();
-        blocks.extend_back(parsed);
+            Ok(SealedBlock { len, cipher })
+        })?;
         let params = SchemeParams::recb(preamble.max_block);
         Ok(RecbDocument {
             cipher,
@@ -248,15 +246,16 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
         1 + self.blocks.len_blocks()
     }
 
-    /// Seals every chunk of `text` into fresh blocks appended to `out`
-    /// (the batch `Enc` path).
+    /// Seals every chunk of `text` into fresh blocks, left in the
+    /// document's [`SealScratch`] for the caller to take with
+    /// [`SealScratch::sealed`] (the batch `Enc` path).
     ///
     /// Nonces are drawn from the document DRBG **sequentially** while the
     /// blocks are packed; only the AES applications fan out when
     /// `workers > 1`, so the ciphertext is byte-identical for every
     /// worker count. The packing and nonce buffers are the document's
     /// reused [`SealScratch`], so repeated saves do not allocate.
-    fn seal_all(&mut self, text: &[u8], workers: usize, out: &mut Vec<SealedBlock>) {
+    fn seal_all(&mut self, text: &[u8], workers: usize) {
         let n = chunk_count(text.len(), self.params.max_block);
         // One bulk draw for every block nonce: a NonceSource is a byte
         // stream, so this yields the same bytes as n sequential 8-byte
@@ -279,14 +278,6 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
         }
         batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt, workers);
         pe_observe::static_counter!("core.blocks_sealed.recb").add(n as u64);
-        out.reserve(n);
-        out.extend(
-            self.scratch
-                .bufs
-                .iter()
-                .zip(&self.scratch.lens)
-                .map(|(cipher, &len)| SealedBlock { len, cipher: *cipher }),
-        );
     }
 
     /// Opens (decrypts) every block, appending the plaintext to `out`
@@ -348,10 +339,9 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
             self.blocks.remove(start_block);
         }
         let workers = batch::auto_workers(chunk_count(content.len(), self.params.max_block));
-        let mut sealed_blocks = Vec::new();
-        self.seal_all(&content, workers, &mut sealed_blocks);
-        let mut inserted = Vec::with_capacity(sealed_blocks.len());
-        for (i, sealed) in sealed_blocks.into_iter().enumerate() {
+        self.seal_all(&content, workers);
+        let mut inserted = Vec::with_capacity(self.scratch.lens.len());
+        for (i, sealed) in self.scratch.sealed().enumerate() {
             inserted.push(encode_record(sealed.tag(), &sealed.cipher));
             self.blocks.insert(start_block + i, sealed);
         }
@@ -362,21 +352,20 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
     /// one (possibly parallel) AES pass, no per-edit splice planning.
     fn replace_all(&mut self, plaintext: &[u8]) -> Result<(), CoreError> {
         let workers = batch::auto_workers(chunk_count(plaintext.len(), self.params.max_block));
-        let mut sealed = Vec::new();
-        self.seal_all(plaintext, workers, &mut sealed);
+        self.seal_all(plaintext, workers);
         let mut blocks = S::default();
-        blocks.extend_back(sealed);
+        blocks.extend_back(self.scratch.sealed());
         self.blocks = blocks;
         Ok(())
     }
 
     fn serialize(&self) -> String {
-        let mut out = Preamble::new(&self.params, self.salt).encode();
-        out.push_str(&encode_record('0', &self.header_cipher));
-        for block in self.blocks.iter() {
-            out.push_str(&encode_record(block.tag(), &block.cipher));
-        }
-        out
+        let blocks = self.blocks.iter().map(|block| (block.tag(), &block.cipher));
+        serialize_records(
+            Preamble::new(&self.params, self.salt),
+            self.record_count(),
+            std::iter::once(('0', &self.header_cipher)).chain(blocks),
+        )
     }
 
     fn layout(&self) -> Layout {
@@ -387,7 +376,7 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::apply_patches;
+    use crate::wire::{apply_patches, split_records};
     use pe_crypto::CtrDrbg;
 
     fn key() -> DocumentKey {
@@ -607,10 +596,10 @@ mod tests {
         let text: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         let mut serial = doc(b"", 8, 42);
         let mut parallel = doc(b"", 8, 42);
-        let mut a = Vec::new();
-        serial.seal_all(&text, 1, &mut a);
-        let mut b = Vec::new();
-        parallel.seal_all(&text, 4, &mut b);
+        serial.seal_all(&text, 1);
+        parallel.seal_all(&text, 4);
+        let a: Vec<SealedBlock> = serial.scratch.sealed().collect();
+        let b: Vec<SealedBlock> = parallel.scratch.sealed().collect();
         assert_eq!(a, b, "worker count must not change the ciphertext");
         for (i, sealed) in a.into_iter().enumerate() {
             serial.blocks.insert(i, sealed);

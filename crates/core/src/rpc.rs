@@ -39,10 +39,11 @@ use pe_indexlist::{BlockSeq, IndexedSkipList};
 use crate::batch::{self, Direction};
 use crate::error::CoreError;
 use crate::keys::{DocumentKey, Mode, SchemeParams};
-use crate::pack::{chunk_count, chunks, SealScratch, SealedBlock};
+use crate::pack::{chunk_count, chunks, collect_blocks, SealScratch, SealedBlock};
 use crate::splice::{plan, SplicePlan};
 use crate::wire::{
-    decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
+    decode_record, encode_record, record_chunks, serialize_records, CipherPatch, Layout,
+    Preamble,
 };
 use crate::{EditOp, IncrementalCipherDoc};
 
@@ -155,9 +156,8 @@ impl RpcDocument {
         let r_in = if n == 0 { r0 } else { doc.rng.next_u32() };
         doc.reseal_header(r_in);
         let workers = batch::auto_workers(n);
-        let mut sealed = Vec::new();
-        doc.seal_all(plaintext, r_in, r0, workers, &mut sealed);
-        doc.blocks.extend_back(sealed);
+        doc.seal_all(plaintext, r_in, r0, workers);
+        doc.blocks.extend_back(doc.scratch.sealed());
         doc.reseal_checksum();
         Ok(doc)
     }
@@ -189,34 +189,32 @@ impl RpcDocument {
                 detail: format!("RPC block size {} exceeds {RPC_MAX_BLOCK}", preamble.max_block),
             });
         }
-        let records = split_records(serialized)?;
-        if records.len() < 2 {
+        let mut records = record_chunks(serialized)?;
+        let (Some(header_record), Some(checksum_record)) = (records.next(), records.next_back())
+        else {
             return Err(CoreError::Malformed {
                 detail: "RPC document needs header and checksum records".into(),
             });
-        }
+        };
         let cipher = key.cipher();
-        let (htag, header_cipher) = decode_record(records[0])?;
+        let (htag, header_cipher) = decode_record(header_record)?;
         if htag != '0' {
             return Err(CoreError::Malformed { detail: "first record is not a header".into() });
         }
-        let (ctag, checksum_cipher) = decode_record(records[records.len() - 1])?;
+        let (ctag, checksum_cipher) = decode_record(checksum_record)?;
         if ctag != '9' {
             return Err(CoreError::Malformed { detail: "last record is not a checksum".into() });
         }
-        let mut parsed = Vec::with_capacity(records.len() - 2);
-        for record in &records[1..records.len() - 1] {
-            let (tag, block_cipher) = decode_record(record)?;
+        let blocks = collect_blocks(records, |record| {
+            let (tag, cipher) = decode_record(record)?;
             let len = tag
                 .to_digit(10)
                 .filter(|d| (1..=RPC_MAX_BLOCK as u32).contains(d))
                 .ok_or_else(|| CoreError::Malformed {
                     detail: format!("invalid data record tag {tag:?}"),
                 })? as u8;
-            parsed.push(SealedBlock { len, cipher: block_cipher });
-        }
-        let mut blocks = IndexedSkipList::new();
-        blocks.extend_back(parsed);
+            Ok(SealedBlock { len, cipher })
+        })?;
         let mut doc = RpcDocument {
             cipher,
             salt: preamble.salt,
@@ -267,7 +265,9 @@ impl RpcDocument {
     /// Seals a whole run of text as one batch: packs every chunk with its
     /// chain nonces (draws stay strictly sequential, so the ciphertext is
     /// byte-identical to sealing block by block with [`Self::seal`]), then
-    /// encrypts all blocks in one [`batch::apply_cipher`] call.
+    /// encrypts all blocks in one [`batch::apply_cipher`] call. The
+    /// blocks stay in the document's [`SealScratch`] for the caller to
+    /// take with [`SealScratch::sealed`].
     ///
     /// The first block's chain-in is `r_in_first`; the last block's
     /// chain-out is `r_out_last`; intermediate nonces come from the
@@ -278,7 +278,6 @@ impl RpcDocument {
         r_in_first: u32,
         r_out_last: u32,
         workers: usize,
-        out: &mut Vec<SealedBlock>,
     ) {
         let n = chunk_count(text.len(), self.params.max_block);
         // One bulk draw for the n-1 intermediate chain nonces: a
@@ -311,14 +310,6 @@ impl RpcDocument {
         }
         batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt, workers);
         pe_observe::static_counter!("core.blocks_sealed.rpc").add(n as u64);
-        out.reserve(n);
-        out.extend(
-            self.scratch
-                .bufs
-                .iter()
-                .zip(&self.scratch.lens)
-                .map(|(cipher, &len)| SealedBlock { len, cipher: *cipher }),
-        );
     }
 
     /// Opens the data block at `ordinal` without verifying its position
@@ -516,10 +507,9 @@ impl IncrementalCipherDoc for RpcDocument {
             }
         } else {
             let workers = batch::auto_workers(n);
-            let mut sealed_run = Vec::new();
-            self.seal_all(&content, chain_in, chain_out, workers, &mut sealed_run);
+            self.seal_all(&content, chain_in, chain_out, workers);
             let mut inserted = Vec::with_capacity(n);
-            for (i, sealed) in sealed_run.into_iter().enumerate() {
+            for (i, sealed) in self.scratch.sealed().enumerate() {
                 inserted.push(encode_record(sealed.tag(), &sealed.cipher));
                 self.blocks.insert(start_block + i, sealed);
             }
@@ -552,21 +542,21 @@ impl IncrementalCipherDoc for RpcDocument {
         let r_in = if n == 0 { self.r0 } else { self.rng.next_u32() };
         self.reseal_header(r_in);
         let workers = batch::auto_workers(n);
-        let mut sealed = Vec::new();
-        self.seal_all(plaintext, r_in, self.r0, workers, &mut sealed);
-        self.blocks.extend_back(sealed);
+        self.seal_all(plaintext, r_in, self.r0, workers);
+        self.blocks.extend_back(self.scratch.sealed());
         self.reseal_checksum();
         Ok(())
     }
 
     fn serialize(&self) -> String {
-        let mut out = Preamble::new(&self.params, self.salt).encode();
-        out.push_str(&encode_record('0', &self.header_cipher));
-        for block in self.blocks.iter() {
-            out.push_str(&encode_record(block.tag(), &block.cipher));
-        }
-        out.push_str(&encode_record('9', &self.checksum_cipher));
-        out
+        let blocks = self.blocks.iter().map(|block| (block.tag(), &block.cipher));
+        serialize_records(
+            Preamble::new(&self.params, self.salt),
+            self.record_count(),
+            std::iter::once(('0', &self.header_cipher))
+                .chain(blocks)
+                .chain(std::iter::once(('9', &self.checksum_cipher))),
+        )
     }
 
     fn layout(&self) -> Layout {
@@ -577,7 +567,7 @@ impl IncrementalCipherDoc for RpcDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::apply_patches;
+    use crate::wire::{apply_patches, split_records};
     use pe_crypto::CtrDrbg;
 
     fn key() -> DocumentKey {
@@ -799,12 +789,12 @@ mod tests {
         let r_in_s = serial.rng.next_u32();
         let r_in_p = parallel.rng.next_u32();
         assert_eq!(r_in_s, r_in_p);
-        let mut a = Vec::new();
         let r0_s = serial.r0;
-        serial.seal_all(&text, r_in_s, r0_s, 1, &mut a);
-        let mut b = Vec::new();
+        serial.seal_all(&text, r_in_s, r0_s, 1);
         let r0_p = parallel.r0;
-        parallel.seal_all(&text, r_in_p, r0_p, 4, &mut b);
+        parallel.seal_all(&text, r_in_p, r0_p, 4);
+        let a: Vec<SealedBlock> = serial.scratch.sealed().collect();
+        let b: Vec<SealedBlock> = parallel.scratch.sealed().collect();
         assert_eq!(a, b, "worker count must not change the ciphertext");
         assert_eq!(serial.xor_r, parallel.xor_r);
         assert_eq!(serial.xor_mid, parallel.xor_mid);

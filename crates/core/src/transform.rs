@@ -79,6 +79,19 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
         DeltaTransformer { doc, ciphertext }
     }
 
+    /// Wraps a document just opened from `serialized`, adopting that
+    /// string as the ciphertext mirror instead of re-encoding every
+    /// record.
+    ///
+    /// Sound because the wire parser accepts only the canonical encoding
+    /// (see [`wire`](crate::wire)): a document that opens from a string
+    /// serializes back to exactly that string. `serialized` must be the
+    /// string `doc` was opened from; debug builds check the identity.
+    pub fn from_serialized(doc: D, serialized: String) -> DeltaTransformer<D> {
+        debug_assert_eq!(doc.serialize(), serialized, "mirror must be the opened string");
+        DeltaTransformer { doc, ciphertext: serialized }
+    }
+
     /// The encrypted document.
     pub fn doc(&self) -> &D {
         &self.doc

@@ -22,6 +22,21 @@
 //! Because records have fixed width, an incremental update maps to a small
 //! set of contiguous record splices ([`CipherPatch`]), which the
 //! transformer turns into a character-level delta over this string.
+//!
+//! # Canonical encoding
+//!
+//! Parsing accepts exactly what the encoder emits: uppercase `A–Z2–7`
+//! Base32 with zero trailing bits in every record and in the salt, and
+//! the closing `;` of the preamble. Every string that parses therefore
+//! equals the serialization of what it parses to, byte for byte. That is
+//! what lets a client adopt the server's own string as its ciphertext
+//! mirror ([`DeltaTransformer::from_serialized`](crate::DeltaTransformer::from_serialized))
+//! instead of re-encoding every record after an open.
+//!
+//! Records are encoded and decoded one 16-byte block at a time through
+//! [`base32::encode_block`] / [`base32::decode_block`], straight from and
+//! into fixed arrays: serializing a document writes one buffer sized up
+//! front, and parsing walks the record region in place.
 
 use pe_crypto::base32;
 
@@ -99,19 +114,31 @@ impl Preamble {
         Preamble { mode: params.mode, max_block: params.max_block, salt }
     }
 
+    /// The preamble's [`PREAMBLE_CHARS`] ASCII bytes.
+    fn to_bytes(self) -> [u8; PREAMBLE_CHARS] {
+        debug_assert!((1..=8).contains(&self.max_block));
+        let mut out = [0u8; PREAMBLE_CHARS];
+        out[..4].copy_from_slice(b"PE1;");
+        out[4] = self.mode.tag() as u8;
+        out[5] = b';';
+        out[6] = b'b';
+        out[7] = b'0' + self.max_block as u8;
+        out[8] = b';';
+        out[9..PREAMBLE_CHARS - 1].copy_from_slice(&base32::encode_block(&self.salt));
+        out[PREAMBLE_CHARS - 1] = b';';
+        out
+    }
+
     /// Encodes the preamble (always [`PREAMBLE_CHARS`] characters).
     pub fn encode(&self) -> String {
-        let s = format!(
-            "PE1;{};b{};{};",
-            self.mode.tag(),
-            self.max_block,
-            base32::encode_unpadded(&self.salt)
-        );
-        debug_assert_eq!(s.len(), PREAMBLE_CHARS);
-        s
+        String::from_utf8(self.to_bytes().to_vec()).expect("preamble is ASCII")
     }
 
     /// Parses a preamble from the start of a serialized document.
+    ///
+    /// Only the canonical form is accepted: `PE1;`, a mode tag, `;b`, a
+    /// block size digit `1`–`8`, `;`, the salt in uppercase Base32 with
+    /// zero trailing bits, and the closing `;`.
     ///
     /// # Errors
     ///
@@ -119,67 +146,109 @@ impl Preamble {
     /// preamble grammar.
     pub fn parse(text: &str) -> Result<Preamble, CoreError> {
         let malformed = |detail: &str| CoreError::Malformed { detail: detail.to_string() };
-        if text.len() < PREAMBLE_CHARS || !text.is_char_boundary(PREAMBLE_CHARS) {
+        let Some(head) = text.as_bytes().get(..PREAMBLE_CHARS) else {
             return Err(malformed("document shorter than preamble"));
-        }
-        let head = &text[..PREAMBLE_CHARS];
-        if !head.starts_with("PE1;") {
+        };
+        if !head.starts_with(b"PE1;") {
             return Err(malformed("missing PE1 magic"));
         }
-        let mut fields = head[4..head.len() - 1].split(';');
-        let mode_field = fields.next().ok_or_else(|| malformed("missing mode"))?;
-        let mode = mode_field
-            .chars()
-            .next()
-            .and_then(Mode::from_tag)
-            .filter(|_| mode_field.len() == 1)
+        let mode = Mode::from_tag(char::from(head[4]))
+            .filter(|_| head[5] == b';')
             .ok_or_else(|| malformed("unknown mode tag"))?;
-        let block_field = fields.next().ok_or_else(|| malformed("missing block size"))?;
-        let max_block = block_field
-            .strip_prefix('b')
-            .and_then(|d| d.parse::<usize>().ok())
-            .filter(|b| (1..=8).contains(b))
-            .ok_or_else(|| malformed("invalid block size field"))?;
-        let salt_field = fields.next().ok_or_else(|| malformed("missing salt"))?;
-        let salt_bytes = base32::decode_unpadded(salt_field)
+        let max_block = match head[6..9] {
+            [b'b', digit @ b'1'..=b'8', b';'] => usize::from(digit - b'0'),
+            _ => return Err(malformed("invalid block size field")),
+        };
+        let salt = base32::decode_block(&head[9..PREAMBLE_CHARS - 1])
             .map_err(|_| malformed("invalid salt encoding"))?;
-        let salt: [u8; 16] =
-            salt_bytes.try_into().map_err(|_| malformed("salt must be 16 bytes"))?;
+        if head[PREAMBLE_CHARS - 1] != b';' {
+            return Err(malformed("preamble must end with ';'"));
+        }
         Ok(Preamble { mode, max_block, salt })
     }
 }
 
-/// Encodes one record: tag character + Base32 of the 16-byte block.
-pub fn encode_record(tag: char, block: &[u8; 16]) -> String {
+/// The [`RECORD_CHARS`] ASCII bytes of one record.
+fn record_bytes(tag: char, block: &[u8; 16]) -> [u8; RECORD_CHARS] {
     debug_assert!(tag.is_ascii_digit());
-    let mut out = String::with_capacity(RECORD_CHARS);
-    out.push(tag);
-    out.push_str(&base32::encode_unpadded(block));
+    let mut out = [0u8; RECORD_CHARS];
+    out[0] = tag as u8;
+    out[1..].copy_from_slice(&base32::encode_block(block));
     out
 }
 
+/// Appends one record to `out`: tag character + Base32 of the 16-byte
+/// block.
+pub fn encode_record_into(out: &mut String, tag: char, block: &[u8; 16]) {
+    out.push_str(std::str::from_utf8(&record_bytes(tag, block)).expect("records are ASCII"));
+}
+
+/// Encodes one record: tag character + Base32 of the 16-byte block.
+pub fn encode_record(tag: char, block: &[u8; 16]) -> String {
+    let mut out = String::with_capacity(RECORD_CHARS);
+    encode_record_into(&mut out, tag, block);
+    out
+}
+
+/// Serializes a whole document — the preamble, then `count` records
+/// given as `(tag, block)` — into one buffer sized up front.
+pub fn serialize_records<'a>(
+    preamble: Preamble,
+    count: usize,
+    records: impl IntoIterator<Item = (char, &'a [u8; 16])>,
+) -> String {
+    let mut out = Vec::with_capacity(PREAMBLE_CHARS + count * RECORD_CHARS);
+    out.extend_from_slice(&preamble.to_bytes());
+    for (tag, block) in records {
+        out.extend_from_slice(&record_bytes(tag, block));
+    }
+    debug_assert_eq!(out.len(), PREAMBLE_CHARS + count * RECORD_CHARS);
+    String::from_utf8(out).expect("serialized documents are ASCII")
+}
+
 /// Decodes one record into its tag and block.
+///
+/// Accepts only the canonical encoding: a digit tag and 26 uppercase
+/// Base32 characters with zero trailing bits.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Malformed`] for wrong length, an invalid tag, or
 /// invalid Base32.
-pub fn decode_record(text: &str) -> Result<(char, [u8; 16]), CoreError> {
-    if text.len() != RECORD_CHARS {
+pub fn decode_record(record: impl AsRef<[u8]>) -> Result<(char, [u8; 16]), CoreError> {
+    let record = record.as_ref();
+    if record.len() != RECORD_CHARS {
         return Err(CoreError::Malformed {
-            detail: format!("record must be {RECORD_CHARS} chars, got {}", text.len()),
+            detail: format!("record must be {RECORD_CHARS} chars, got {}", record.len()),
         });
     }
-    let tag = text.chars().next().expect("non-empty");
-    if !tag.is_ascii_digit() || !text.is_ascii() {
-        return Err(CoreError::Malformed { detail: format!("invalid record tag {tag:?}") });
+    let tag = record[0];
+    if !tag.is_ascii_digit() {
+        return Err(CoreError::Malformed { detail: format!("invalid record tag {tag:#04x}") });
     }
-    let body = base32::decode_unpadded(&text[1..])
+    let block = base32::decode_block(&record[1..])
         .map_err(|e| CoreError::Malformed { detail: format!("invalid record body: {e}") })?;
-    let block: [u8; 16] = body
-        .try_into()
-        .map_err(|_| CoreError::Malformed { detail: "record body must be 16 bytes".into() })?;
-    Ok((tag, block))
+    Ok((char::from(tag), block))
+}
+
+/// The records of a serialized document, walked in place as
+/// [`RECORD_CHARS`]-byte chunks of the text after the preamble (the
+/// preamble itself is not checked here; see [`Preamble::parse`]).
+///
+/// # Errors
+///
+/// Returns [`CoreError::Malformed`] when the text is shorter than the
+/// preamble or the region after it is not a whole number of records.
+pub fn record_chunks(text: &str) -> Result<std::slice::ChunksExact<'_, u8>, CoreError> {
+    let Some(body) = text.as_bytes().get(PREAMBLE_CHARS..) else {
+        return Err(CoreError::Malformed { detail: "document shorter than preamble".into() });
+    };
+    if !body.len().is_multiple_of(RECORD_CHARS) {
+        return Err(CoreError::Malformed {
+            detail: format!("record region length {} is not a multiple of {RECORD_CHARS}", body.len()),
+        });
+    }
+    Ok(body.chunks_exact(RECORD_CHARS))
 }
 
 /// Splits the record region of a serialized document into record strings.
@@ -189,17 +258,7 @@ pub fn decode_record(text: &str) -> Result<(char, [u8; 16]), CoreError> {
 /// Returns [`CoreError::Malformed`] when the region is not a whole number
 /// of records.
 pub fn split_records(text: &str) -> Result<Vec<&str>, CoreError> {
-    if text.len() < PREAMBLE_CHARS || !text.is_char_boundary(PREAMBLE_CHARS) {
-        return Err(CoreError::Malformed { detail: "document shorter than preamble".into() });
-    }
-    let body = &text[PREAMBLE_CHARS..];
-    if !body.len().is_multiple_of(RECORD_CHARS) {
-        return Err(CoreError::Malformed {
-            detail: format!("record region length {} is not a multiple of {RECORD_CHARS}", body.len()),
-        });
-    }
-    body.as_bytes()
-        .chunks(RECORD_CHARS)
+    record_chunks(text)?
         .map(|c| {
             std::str::from_utf8(c)
                 .map_err(|_| CoreError::Malformed { detail: "record is not ASCII".into() })
@@ -233,7 +292,10 @@ pub fn apply_patches(
         return Err(CoreError::Malformed { detail: "misaligned record region".into() });
     }
     let total_records = record_region.len() / layout.record_chars;
-    let mut out = String::with_capacity(old.len());
+    // Sized for the worst case (nothing removed), so the splice never
+    // reallocates.
+    let inserted: usize = patches.iter().map(|p| p.inserted.len()).sum();
+    let mut out = String::with_capacity(old.len() + inserted * layout.record_chars);
     out.push_str(&old[..layout.preamble_chars]);
     let mut cursor = 0usize; // record index into the old document
     for patch in patches {
@@ -299,6 +361,17 @@ mod tests {
         assert!(Preamble::parse(&bad_mode).is_err());
         let bad_block = good.replacen("b8", "b9", 1);
         assert!(Preamble::parse(&bad_block).is_err());
+        // The closing ';' is part of the grammar.
+        let unterminated = format!("{}X", &good[..PREAMBLE_CHARS - 1]);
+        assert!(matches!(Preamble::parse(&unterminated), Err(CoreError::Malformed { .. })));
+        // Only the canonical uppercase salt parses.
+        let lowercase_salt = format!(
+            "{}{}",
+            &good[..9],
+            good[9..].to_ascii_lowercase()
+        );
+        assert_ne!(lowercase_salt, good);
+        assert!(matches!(Preamble::parse(&lowercase_salt), Err(CoreError::Malformed { .. })));
     }
 
     #[test]

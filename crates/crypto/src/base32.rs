@@ -112,6 +112,77 @@ pub const fn encoded_len(n: usize) -> usize {
     (n * 8).div_ceil(5)
 }
 
+/// Characters in the unpadded encoding of one 16-byte block.
+pub const BLOCK_CHARS: usize = encoded_len(16);
+
+/// Marks bytes outside the uppercase alphabet in [`DECODE`].
+const INVALID: u8 = 0xff;
+
+/// Alphabet value of every byte: `A–Z` → 0–25, `2–7` → 26–31, anything
+/// else (lowercase included) → [`INVALID`].
+const DECODE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 32 {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Encodes one 16-byte block as its 26 unpadded Base32 characters.
+///
+/// Byte-identical to [`encode_unpadded`] of the same block, without the
+/// allocation: the 128 bits are read as one integer and emitted five at a
+/// time, the last character carrying three data bits and two zero bits.
+pub fn encode_block(block: &[u8; 16]) -> [u8; BLOCK_CHARS] {
+    let bits = u128::from_be_bytes(*block);
+    let mut out = [0u8; BLOCK_CHARS];
+    for (i, c) in out[..BLOCK_CHARS - 1].iter_mut().enumerate() {
+        *c = ALPHABET[((bits >> (123 - 5 * i)) & 0x1f) as usize];
+    }
+    out[BLOCK_CHARS - 1] = ALPHABET[((bits << 2) & 0x1f) as usize];
+    out
+}
+
+/// Decodes the 26-character canonical encoding of one 16-byte block.
+///
+/// Accepts exactly what [`encode_block`] emits: uppercase `A–Z2–7` only
+/// and zero trailing bits, so every accepted input re-encodes to itself.
+///
+/// # Errors
+///
+/// Returns [`CryptoError::InvalidLength`] unless `text` is 26 bytes,
+/// [`CryptoError::InvalidCharacter`] for the first byte outside the
+/// uppercase alphabet (lowercase included), and
+/// [`CryptoError::InvalidPadding`] when the two trailing bits are not
+/// zero — the same variant and position [`decode_unpadded`] reports for
+/// uppercase input.
+pub fn decode_block(text: &[u8]) -> Result<[u8; 16], CryptoError> {
+    let text: &[u8; BLOCK_CHARS] =
+        text.try_into().map_err(|_| CryptoError::InvalidLength { length: text.len() })?;
+    let mut bits = 0u128;
+    let mut invalid = 0u8;
+    for &c in &text[..BLOCK_CHARS - 1] {
+        let value = DECODE[usize::from(c)];
+        invalid |= value;
+        bits = (bits << 5) | u128::from(value & 0x1f);
+    }
+    let last = DECODE[usize::from(text[BLOCK_CHARS - 1])];
+    invalid |= last;
+    // Every alphabet value is below 32, so only an INVALID byte sets the
+    // high bits; find it only on the error path.
+    if invalid & 0xe0 != 0 {
+        let position =
+            text.iter().position(|&c| DECODE[usize::from(c)] == INVALID).expect("an invalid byte");
+        return Err(CryptoError::InvalidCharacter { byte: text[position], position });
+    }
+    if last & 0b11 != 0 {
+        return Err(CryptoError::InvalidPadding);
+    }
+    Ok(((bits << 3) | u128::from(last >> 2)).to_be_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +248,32 @@ mod tests {
         // 'B' = 1 → for 2 chars (10 bits, 1 byte + 2 leftover bits) the
         // leftover bits must be zero; "MB" leaves 01 pending.
         assert_eq!(decode_unpadded("MB"), Err(CryptoError::InvalidPadding));
+    }
+
+    #[test]
+    fn block_codec_matches_general_codec() {
+        for seed in 0..64u8 {
+            let block: [u8; 16] = std::array::from_fn(|i| seed.wrapping_mul(29) ^ (i as u8 * 17));
+            let text = encode_block(&block);
+            assert_eq!(text.as_slice(), encode_unpadded(&block).as_bytes());
+            assert_eq!(decode_block(&text), Ok(block));
+        }
+    }
+
+    #[test]
+    fn block_decoder_is_canonical() {
+        let text = encode_block(&[0xa5; 16]);
+        let letter = text.iter().position(u8::is_ascii_uppercase).unwrap();
+        let mut lower = text;
+        lower[letter] = lower[letter].to_ascii_lowercase();
+        assert_eq!(
+            decode_block(&lower),
+            Err(CryptoError::InvalidCharacter { byte: lower[letter], position: letter })
+        );
+        let mut trailing = text;
+        trailing[BLOCK_CHARS - 1] = ALPHABET[(DECODE[text[BLOCK_CHARS - 1] as usize] | 1) as usize];
+        assert_eq!(decode_block(&trailing), Err(CryptoError::InvalidPadding));
+        assert_eq!(decode_block(&text[1..]), Err(CryptoError::InvalidLength { length: 25 }));
     }
 
     #[test]

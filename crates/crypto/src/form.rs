@@ -19,29 +19,95 @@
 
 use crate::error::CryptoError;
 
-/// Returns `true` for bytes that are passed through unescaped.
+/// Uppercase hex digits for `%XX` escapes.
+const HEX_UPPER: &[u8; 16] = b"0123456789ABCDEF";
+
+/// Bytes examined per step when skipping runs that need no rewriting
+/// (32: the fixed-size folds below then compile to vector compares).
+const CHUNK: usize = 32;
+
+/// Whether `b` passes through unescaped (`A–Z a–z 0–9 - _ . *`). Written
+/// without branches so the run scans below compile to vector compares.
+#[inline]
 fn is_unreserved(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'*')
+    // `| 0x20` folds `A–Z` onto `a–z` and moves no other byte into it.
+    ((b | 0x20).wrapping_sub(b'a') < 26)
+        | (b.wrapping_sub(b'0') < 10)
+        | (b == b'-')
+        | (b == b'_')
+        | (b == b'.')
+        | (b == b'*')
+}
+
+/// Whether [`percent_encode`] writes `b` as a three-byte `%XX` escape.
+#[inline]
+fn is_escaped(b: u8) -> bool {
+    !is_unreserved(b) & (b != b' ')
+}
+
+/// Index of the first byte at or after `from` for which `keep` is false
+/// (or `bytes.len()`), stepping over whole chunks of kept bytes at a time.
+#[inline]
+fn run_end(bytes: &[u8], mut from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    while let Some(chunk) = bytes[from..].first_chunk::<CHUNK>() {
+        if chunk.iter().fold(0u8, |missed, &b| missed | u8::from(!keep(b))) != 0 {
+            break;
+        }
+        from += CHUNK;
+    }
+    bytes[from..].iter().position(|&b| !keep(b)).map_or(bytes.len(), |at| from + at)
+}
+
+/// Length of `percent_encode(text)`, for sizing output buffers up front:
+/// unreserved bytes and space take one byte, every other byte three.
+fn encoded_len(text: &str) -> usize {
+    let chunks = text.as_bytes().chunks_exact(CHUNK);
+    let tail = chunks.remainder().iter().filter(|&&b| is_escaped(b)).count();
+    let escaped: usize = chunks
+        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(is_escaped(b)))))
+        .sum();
+    text.len() + 2 * (escaped + tail)
+}
+
+/// Appends the form encoding of `text` to `out`, copying each run of
+/// unreserved bytes in one piece.
+fn encode_into(out: &mut String, text: &str) {
+    let bytes = text.as_bytes();
+    let mut run = 0; // start of the pending run of unreserved bytes
+    loop {
+        let end = run_end(bytes, run, is_unreserved);
+        // A non-empty run is ASCII, so both of its ends are char
+        // boundaries (an empty one may sit inside a multi-byte char).
+        if run < end {
+            out.push_str(&text[run..end]);
+        }
+        let Some(&b) = bytes.get(end) else {
+            return;
+        };
+        if b == b' ' {
+            out.push('+');
+        } else {
+            out.push('%');
+            out.push(char::from(HEX_UPPER[usize::from(b >> 4)]));
+            out.push(char::from(HEX_UPPER[usize::from(b & 0xf)]));
+        }
+        run = end + 1;
+    }
 }
 
 /// Percent-encodes `text` using form-urlencoding rules.
 pub fn percent_encode(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for &b in text.as_bytes() {
-        if is_unreserved(b) {
-            out.push(b as char);
-        } else if b == b' ' {
-            out.push('+');
-        } else {
-            out.push('%');
-            out.push(char::from_digit(u32::from(b >> 4), 16).unwrap().to_ascii_uppercase());
-            out.push(char::from_digit(u32::from(b & 0xf), 16).unwrap().to_ascii_uppercase());
-        }
-    }
+    let mut out = String::with_capacity(encoded_len(text));
+    encode_into(&mut out, text);
     out
 }
 
 /// Decodes a percent-encoded string back into text.
+///
+/// Runs of bytes other than `+` and `%` are copied in one piece. The
+/// output is checked for UTF-8 only when an escape produced a non-ASCII
+/// byte: replacing ASCII `+`/`%XX` sequences of valid UTF-8 input with
+/// ASCII bytes cannot make it invalid.
 ///
 /// # Errors
 ///
@@ -50,29 +116,39 @@ pub fn percent_encode(text: &str) -> String {
 pub fn percent_decode(text: &str) -> Result<String, CryptoError> {
     let bytes = text.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
+    let mut escaped_high = 0u8;
     let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
+    loop {
+        let end = run_end(bytes, i, |b| (b != b'+') & (b != b'%'));
+        out.extend_from_slice(&bytes[i..end]);
+        match bytes.get(end) {
+            None => break,
+            Some(b'+') => {
                 out.push(b' ');
-                i += 1;
+                i = end + 1;
             }
-            b'%' => {
-                if i + 2 >= bytes.len() {
-                    return Err(CryptoError::InvalidCharacter { byte: b'%', position: i });
+            Some(_) => {
+                if end + 2 >= bytes.len() {
+                    return Err(CryptoError::InvalidCharacter { byte: b'%', position: end });
                 }
-                let hi = hex_val(bytes[i + 1])
-                    .ok_or(CryptoError::InvalidCharacter { byte: bytes[i + 1], position: i + 1 })?;
-                let lo = hex_val(bytes[i + 2])
-                    .ok_or(CryptoError::InvalidCharacter { byte: bytes[i + 2], position: i + 2 })?;
-                out.push((hi << 4) | lo);
-                i += 3;
-            }
-            b => {
-                out.push(b);
-                i += 1;
+                let hi = hex_val(bytes[end + 1]).ok_or(CryptoError::InvalidCharacter {
+                    byte: bytes[end + 1],
+                    position: end + 1,
+                })?;
+                let lo = hex_val(bytes[end + 2]).ok_or(CryptoError::InvalidCharacter {
+                    byte: bytes[end + 2],
+                    position: end + 2,
+                })?;
+                let byte = (hi << 4) | lo;
+                escaped_high |= byte;
+                out.push(byte);
+                i = end + 3;
             }
         }
+    }
+    if escaped_high.is_ascii() {
+        // Valid UTF-8 with ASCII sequences swapped for ASCII bytes.
+        return Ok(String::from_utf8(out).expect("ASCII substitutions keep UTF-8 valid"));
     }
     String::from_utf8(out).map_err(|e| CryptoError::InvalidUtf8 {
         position: e.utf8_error().valid_up_to(),
@@ -88,17 +164,24 @@ fn hex_val(c: u8) -> Option<u8> {
     }
 }
 
-/// Encodes key/value pairs as a form body (`k1=v1&k2=v2`).
+/// Encodes key/value pairs as a form body (`k1=v1&k2=v2`) into one
+/// buffer sized up front.
 pub fn encode_pairs<K: AsRef<str>, V: AsRef<str>>(pairs: &[(K, V)]) -> String {
-    let mut out = String::new();
+    let len = pairs
+        .iter()
+        .map(|(k, v)| encoded_len(k.as_ref()) + 1 + encoded_len(v.as_ref()))
+        .sum::<usize>()
+        + pairs.len().saturating_sub(1);
+    let mut out = String::with_capacity(len);
     for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push('&');
         }
-        out.push_str(&percent_encode(k.as_ref()));
+        encode_into(&mut out, k.as_ref());
         out.push('=');
-        out.push_str(&percent_encode(v.as_ref()));
+        encode_into(&mut out, v.as_ref());
     }
+    debug_assert_eq!(out.len(), len);
     out
 }
 

@@ -5,6 +5,95 @@ use pe_crypto::drbg::{CtrDrbg, NonceSource};
 use pe_crypto::{base32, form, hex, BlockCipher};
 use proptest::prelude::*;
 
+/// The per-byte percent encoder `form` used before its bulk rewrite, kept
+/// as the reference the table-driven encoder must match byte for byte.
+fn reference_percent_encode(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for &b in text.as_bytes() {
+        if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'*') {
+            out.push(b as char);
+        } else if b == b' ' {
+            out.push('+');
+        } else {
+            out.push('%');
+            out.push(char::from_digit(u32::from(b >> 4), 16).unwrap().to_ascii_uppercase());
+            out.push(char::from_digit(u32::from(b & 0xf), 16).unwrap().to_ascii_uppercase());
+        }
+    }
+    out
+}
+
+/// Bytes for block-decoder inputs: mostly the uppercase alphabet (so many
+/// inputs decode), plus lowercase letters, other ASCII and high bytes.
+fn block_text_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        12 => (0usize..32).prop_map(|i| b"ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"[i]),
+        1 => b'a'..=b'z',
+        1 => any::<u8>(),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn base32_block_codec_matches_general_codec(block in any::<[u8; 16]>()) {
+        let text = base32::encode_block(&block);
+        prop_assert_eq!(text.as_slice(), base32::encode_unpadded(&block).as_bytes());
+        prop_assert_eq!(base32::decode_block(&text), Ok(block));
+    }
+
+    #[test]
+    fn base32_block_decoder_is_canonical_unpadded_decoder(
+        seed in any::<[u8; 16]>(),
+        edits in proptest::collection::vec((0usize..base32::BLOCK_CHARS, block_text_byte()), 0..3),
+    ) {
+        // A valid encoding with up to two bytes overwritten: many inputs
+        // still decode, and every kind of bad byte appears.
+        let mut text = base32::encode_block(&seed);
+        for (at, byte) in edits {
+            text[at] = byte;
+        }
+        let block = base32::decode_block(&text);
+        match text.iter().position(|b| !b.is_ascii() || b.is_ascii_lowercase()) {
+            None => {
+                // Uppercase ASCII: exactly the general decoder's verdict.
+                let general = base32::decode_unpadded(std::str::from_utf8(&text).unwrap())
+                    .map(|bytes| <[u8; 16]>::try_from(bytes).unwrap());
+                prop_assert_eq!(block, general);
+            }
+            Some(first) => {
+                // Lowercase and non-ASCII bytes are rejected at the first
+                // byte outside the uppercase alphabet.
+                let position = text
+                    .iter()
+                    .position(|b| !(b.is_ascii_uppercase() || (b'2'..=b'7').contains(b)))
+                    .unwrap();
+                prop_assert!(position <= first);
+                prop_assert_eq!(
+                    block,
+                    Err(pe_crypto::CryptoError::InvalidCharacter { byte: text[position], position })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn percent_encode_matches_per_byte_reference(text in "\\PC{0,400}") {
+        prop_assert_eq!(form::percent_encode(&text), reference_percent_encode(&text));
+    }
+
+    #[test]
+    fn encode_pairs_matches_per_byte_reference(
+        pairs in proptest::collection::vec(("\\PC{0,40}", "\\PC{0,400}"), 0..6)
+    ) {
+        let reference = pairs
+            .iter()
+            .map(|(k, v)| format!("{}={}", reference_percent_encode(k), reference_percent_encode(v)))
+            .collect::<Vec<_>>()
+            .join("&");
+        prop_assert_eq!(form::encode_pairs(&pairs), reference);
+    }
+}
+
 proptest! {
     #[test]
     fn hex_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..256)) {

@@ -173,11 +173,13 @@ impl<S: CloudService> DocsMediator<S> {
     }
 
     /// Ensures crypto state exists for a registered document, building it
-    /// from `server_content` when that holds our ciphertext.
+    /// from `server_content` when that holds our ciphertext. The server's
+    /// string becomes the ciphertext mirror as is: a document that opens
+    /// serializes back to exactly the string it was opened from.
     fn ensure_state(
         &mut self,
         doc_id: &str,
-        server_content: Option<&str>,
+        server_content: Option<String>,
     ) -> Result<(), ExtensionError> {
         if self.docs.contains_key(doc_id) {
             return Ok(());
@@ -187,17 +189,17 @@ impl<S: CloudService> DocsMediator<S> {
         }
         let state = match server_content {
             Some(content) if !content.is_empty() => {
-                let preamble = Preamble::parse(content)?;
+                let preamble = Preamble::parse(&content)?;
                 let key = match self.keyring.derive_existing(doc_id, &preamble.salt) {
                     Some(key) => key,
                     None => self.tenant_key(doc_id, preamble.salt)?,
                 };
-                let doc = self.open_doc(&key, content, preamble.mode)?;
+                let doc = self.open_doc(&key, &content, preamble.mode)?;
                 let plaintext = String::from_utf8(doc.decrypt()?).map_err(|_| {
                     ExtensionError::BadResponse { detail: "document is not text".into() }
                 })?;
                 DocState {
-                    transformer: DeltaTransformer::new(doc),
+                    transformer: DeltaTransformer::from_serialized(doc, content),
                     plaintext,
                     synced: true,
                     version: None,
@@ -319,10 +321,9 @@ impl<S: CloudService> DocsMediator<S> {
         let body = response.body_text().ok_or_else(|| ExtensionError::BadResponse {
             detail: "response body is not text".into(),
         })?;
-        let pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
+        let mut pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
             detail: format!("unparseable response form: {e}"),
         })?;
-        let content = form::first_value(&pairs, "content").unwrap_or("");
         if !self.keyring.has(doc_id) && self.tenant.is_none() {
             // No password: the user sees raw ciphertext, as the paper
             // describes for parties without the password.
@@ -332,6 +333,13 @@ impl<S: CloudService> DocsMediator<S> {
                 suggested_delay: Duration::ZERO,
             });
         }
+        // The ciphertext moves into the mirror; the rewrite below puts
+        // the plaintext in its place.
+        let content = pairs
+            .iter_mut()
+            .find(|(k, _)| k == "content")
+            .map(|(_, v)| std::mem::take(v))
+            .unwrap_or_default();
         // Rebuild state from the authoritative server copy (it may have
         // been changed by a collaborator).
         self.docs.remove(doc_id);
@@ -340,19 +348,18 @@ impl<S: CloudService> DocsMediator<S> {
             self.ensure_state(doc_id, Some(content))?;
         }
         let version = form::first_value(&pairs, "version").and_then(|v| v.parse().ok());
-        if let Some(state) = self.docs.get_mut(doc_id) {
-            state.version = version;
-        }
-        let plaintext = self.docs[doc_id].plaintext.clone();
+        let state = self.docs.get_mut(doc_id).expect("ensured above");
+        state.version = version;
+        let plaintext = state.plaintext.as_str();
         let hash = hex::encode(&Sha256::digest(plaintext.as_bytes())[..8]);
-        let mut rewritten: Vec<(String, String)> = Vec::new();
-        for (k, v) in pairs {
-            match k.as_str() {
-                "content" => rewritten.push((k, plaintext.clone())),
-                "contentHash" => rewritten.push((k, hash.clone())),
-                _ => rewritten.push((k, v)),
-            }
-        }
+        let rewritten: Vec<(&str, &str)> = pairs
+            .iter()
+            .map(|(k, v)| match k.as_str() {
+                "content" => (k.as_str(), plaintext),
+                "contentHash" => (k.as_str(), hash.as_str()),
+                _ => (k.as_str(), v.as_str()),
+            })
+            .collect();
         Ok(Mediated {
             response: Response::ok(form::encode_pairs(&rewritten)),
             outcome: Outcome::Decrypted,
@@ -469,7 +476,7 @@ impl<S: CloudService> DocsMediator<S> {
         if form::first_value(&pairs, "resync") == Some("1") {
             let content = form::first_value(&pairs, "content").unwrap_or("").to_string();
             self.docs.remove(&doc_id);
-            self.ensure_state(&doc_id, Some(&content))?;
+            self.ensure_state(&doc_id, Some(content))?;
             let seq = form::first_value(&pairs, "seq").and_then(|v| v.parse().ok());
             if let Some(state) = self.docs.get_mut(&doc_id) {
                 state.version = seq;
@@ -531,9 +538,8 @@ impl<S: CloudService> DocsMediator<S> {
             "full" => {
                 // A collaborator's full save: rebuild the mirror from it
                 // and hand the client the decrypted content.
-                let payload = payload.to_string();
                 self.docs.remove(doc_id);
-                self.ensure_state(doc_id, Some(&payload))?;
+                self.ensure_state(doc_id, Some(payload.to_string()))?;
                 if let Some(state) = self.docs.get_mut(doc_id) {
                     state.version = seq.parse().ok();
                 }
@@ -568,7 +574,7 @@ impl<S: CloudService> DocsMediator<S> {
                 })?;
                 let pdelta = diff(&old_plain, &new_plain);
                 let state = self.docs.get_mut(doc_id).expect("state checked above");
-                state.transformer = DeltaTransformer::new(doc);
+                state.transformer = DeltaTransformer::from_serialized(doc, new_cipher);
                 state.plaintext = new_plain;
                 state.synced = true;
                 state.version = seq.parse().ok();
@@ -605,7 +611,7 @@ impl<S: CloudService> DocsMediator<S> {
         })?;
         let content = form::first_value(&load_pairs, "content").unwrap_or("").to_string();
         self.docs.remove(doc_id);
-        self.ensure_state(doc_id, Some(&content))?;
+        self.ensure_state(doc_id, Some(content))?;
         // Resume from the *loaded* version when the server reports one —
         // the load may already include changes past the stream's head.
         let seq = form::first_value(&load_pairs, "version")
@@ -643,8 +649,7 @@ impl<S: CloudService> DocsMediator<S> {
             return Ok(self.blocked());
         };
         if let Some(contents) = form::first_value(&pairs, "docContents") {
-            let contents = contents.to_string();
-            self.full_save(&doc_id, request, &contents)
+            self.full_save(&doc_id, request, contents)
         } else if let Some(delta_text) = form::first_value(&pairs, "delta") {
             let delta = Delta::parse(delta_text)?;
             self.delta_save(&doc_id, request, &delta)
@@ -661,6 +666,7 @@ impl<S: CloudService> DocsMediator<S> {
         contents: &str,
     ) -> Result<Mediated, ExtensionError> {
         self.ensure_state(doc_id, None)?;
+        let pad = self.config.pad_updates.then(|| countermeasures::padding_field(&mut self.rng));
         let state = self.docs.get_mut(doc_id).expect("ensured above");
         {
             let _timed = pe_observe::static_histogram!("mediator.encrypt_ns").span();
@@ -668,39 +674,47 @@ impl<S: CloudService> DocsMediator<S> {
         }
         state.plaintext = contents.to_string();
         state.synced = true;
-        let ciphertext = state.transformer.ciphertext().to_string();
+        let ciphertext = state.transformer.ciphertext();
         if !contents.is_empty() {
             pe_observe::static_histogram!("mediator.blowup_pct")
                 .record((ciphertext.len() * 100 / contents.len()) as u64);
         }
-        let mut fields: Vec<(String, String)> =
-            vec![("docContents".into(), ciphertext)];
-        if self.config.pad_updates {
-            fields.push(countermeasures::padding_field(&mut self.rng));
+        // Encoded straight from the mirror: no copy of the ciphertext.
+        let mut fields = vec![("docContents", ciphertext)];
+        if let Some((key, value)) = &pad {
+            fields.push((key, value));
         }
-        let rewritten = Request::new(
-            Method::Post,
-            &request.path,
-            &request
-                .query
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect::<Vec<_>>(),
-            form::encode_pairs(&fields),
-        );
-        let response = self.server.handle(&rewritten);
-        if response.is_success() {
-            let version = Self::response_version(&response);
-            if let Some(state) = self.docs.get_mut(doc_id) {
-                state.version = version;
-            }
-        } else {
-            // The mirror already absorbed content the server never
-            // stored: drop it so the next load rebuilds from the
-            // authoritative copy instead of diverging.
+        let body = form::encode_pairs(&fields);
+        let response = self.forward_save(request, body);
+        Ok(self.finish_save(doc_id, response))
+    }
+
+    /// Sends a rewritten save: the client's path and query with the
+    /// encrypted form `body`.
+    fn forward_save(&self, request: &Request, body: String) -> Response {
+        let query: Vec<(&str, &str)> =
+            request.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        self.server.handle(&Request::new(Method::Post, &request.path, &query, body))
+    }
+
+    /// Records the version a successful save landed at and rewrites the
+    /// ack for the client, parsing the ack body once. A rejected save
+    /// (stale base, conflict, …) drops the mirror instead: it already
+    /// holds content the server never accepted, so the next load must
+    /// rebuild it from the authoritative copy rather than diverge.
+    fn finish_save(&mut self, doc_id: &str, response: Response) -> Mediated {
+        if !response.is_success() {
             self.docs.remove(doc_id);
+            return self.rewrite_ack(response, None);
         }
-        Ok(self.rewrite_ack(response))
+        let version = response
+            .body_text()
+            .and_then(|body| form::parse_pairs(body).ok())
+            .and_then(|pairs| form::first_value(&pairs, "version").map(str::to_string));
+        if let Some(state) = self.docs.get_mut(doc_id) {
+            state.version = version.as_deref().and_then(|v| v.parse().ok());
+        }
+        self.rewrite_ack(response, version.as_deref())
     }
 
     fn delta_save(
@@ -721,7 +735,7 @@ impl<S: CloudService> DocsMediator<S> {
             match self.load_server_state(doc_id)? {
                 Some((content, version)) if !content.is_empty() => {
                     self.docs.remove(doc_id);
-                    self.ensure_state(doc_id, Some(&content))?;
+                    self.ensure_state(doc_id, Some(content))?;
                     if let Some(state) = self.docs.get_mut(doc_id) {
                         state.version = version;
                     }
@@ -772,30 +786,8 @@ impl<S: CloudService> DocsMediator<S> {
         if self.config.pad_updates {
             fields.push(countermeasures::padding_field(&mut self.rng));
         }
-        let rewritten = Request::new(
-            Method::Post,
-            &request.path,
-            &request
-                .query
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect::<Vec<_>>(),
-            form::encode_pairs(&fields),
-        );
-        let response = self.server.handle(&rewritten);
-        if response.is_success() {
-            let version = Self::response_version(&response);
-            if let Some(state) = self.docs.get_mut(doc_id) {
-                state.version = version;
-            }
-        } else {
-            // The mirror was mutated above but the server rejected the
-            // save (stale base, conflict, …): the mirror now holds
-            // content the server never accepted. Drop it so the next
-            // load resyncs from the authoritative copy.
-            self.docs.remove(doc_id);
-        }
-        Ok(self.rewrite_ack(response))
+        let response = self.forward_save(request, form::encode_pairs(&fields));
+        Ok(self.finish_save(doc_id, response))
     }
 
     /// Fetches the authoritative server copy: `Some((content, version))`
@@ -822,33 +814,19 @@ impl<S: CloudService> DocsMediator<S> {
         )))
     }
 
-    /// Parses the `version` field from a save ack / load response.
-    fn response_version(response: &Response) -> Option<u64> {
-        response
-            .body_text()
-            .and_then(|body| form::parse_pairs(body).ok())
-            .and_then(|pairs| {
-                form::first_value(&pairs, "version").and_then(|v| v.parse().ok())
-            })
-    }
-
     /// §IV-A: "the client works flawlessly when the values are replaced
     /// with an empty string for contentFromServer, and 0 for
     /// contentFromServerHash". The server's `version` (the change-stream
     /// sequence of this save) is content-free and carries through so live
     /// sessions can skip their own echo.
-    fn rewrite_ack(&mut self, response: Response) -> Mediated {
+    fn rewrite_ack(&mut self, response: Response, version: Option<&str>) -> Mediated {
         let delay = self.delay();
         if !response.is_success() {
             return Mediated { response, outcome: Outcome::Encrypted, suggested_delay: delay };
         }
-        let version = response
-            .body_text()
-            .and_then(|body| form::parse_pairs(body).ok())
-            .and_then(|pairs| form::first_value(&pairs, "version").map(str::to_string));
         let mut fields: Vec<(&str, &str)> =
             vec![("contentFromServer", ""), ("contentFromServerHash", "0")];
-        if let Some(version) = version.as_deref() {
+        if let Some(version) = version {
             fields.push(("version", version));
         }
         let ack = form::encode_pairs(&fields);

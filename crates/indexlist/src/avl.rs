@@ -361,14 +361,19 @@ impl<T: Weighted> BlockSeq<T> for IndexedAvlTree<T> {
         acc
     }
 
-    fn iter_from(&self, ordinal: usize) -> Box<dyn Iterator<Item = &T> + '_> {
+    type Iter<'a>
+        = AvlIter<'a, T>
+    where
+        T: 'a;
+
+    fn iter_from(&self, ordinal: usize) -> AvlIter<'_, T> {
         // Build the initial stack for an in-order traversal starting at
         // `ordinal`.
         let mut stack = Vec::new();
         let mut n = self.root;
         let mut rank = ordinal.min(self.len_blocks());
         if ordinal >= self.len_blocks() {
-            return Box::new(AvlIter { tree: self, stack: Vec::new() });
+            return AvlIter { tree: self, stack: Vec::new() };
         }
         while n != NIL {
             let left_count = self.blocks(self.nodes[n].left);
@@ -383,11 +388,14 @@ impl<T: Weighted> BlockSeq<T> for IndexedAvlTree<T> {
                 break;
             }
         }
-        Box::new(AvlIter { tree: self, stack })
+        AvlIter { tree: self, stack }
     }
 }
 
-struct AvlIter<'a, T> {
+/// In-order iterator over an [`IndexedAvlTree`]'s blocks (see
+/// [`BlockSeq::iter_from`]).
+#[derive(Debug)]
+pub struct AvlIter<'a, T> {
     tree: &'a IndexedAvlTree<T>,
     /// Stack of nodes whose value is still to be yielded (the classic
     /// in-order iterator stack).

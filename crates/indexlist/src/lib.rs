@@ -38,8 +38,8 @@
 mod avl;
 mod skiplist;
 
-pub use avl::IndexedAvlTree;
-pub use skiplist::IndexedSkipList;
+pub use avl::{AvlIter, IndexedAvlTree};
+pub use skiplist::{IndexedSkipList, SkipListIter};
 
 /// A value with an intrinsic weight (for document blocks: the number of
 /// characters the block holds).
@@ -93,7 +93,11 @@ pub trait BlockSeq<T: Weighted> {
     /// # Panics
     ///
     /// Panics if any item has `weight() == 0`.
-    fn extend_back(&mut self, items: Vec<T>) {
+    fn extend_back<I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = T>,
+        Self: Sized,
+    {
         for value in items {
             let end = self.len_blocks();
             self.insert(end, value);
@@ -129,11 +133,18 @@ pub trait BlockSeq<T: Weighted> {
     /// allowed and returns the total weight).
     fn weight_before(&self, ordinal: usize) -> usize;
 
+    /// The in-order iterator [`iter_from`](Self::iter_from) returns (a
+    /// concrete type, so walking a sequence does not box).
+    type Iter<'a>: Iterator<Item = &'a T>
+    where
+        Self: 'a,
+        T: 'a;
+
     /// Iterates over the blocks in order, starting at block `ordinal`.
-    fn iter_from(&self, ordinal: usize) -> Box<dyn Iterator<Item = &T> + '_>;
+    fn iter_from(&self, ordinal: usize) -> Self::Iter<'_>;
 
     /// Iterates over all blocks in order.
-    fn iter(&self) -> Box<dyn Iterator<Item = &T> + '_> {
+    fn iter(&self) -> Self::Iter<'_> {
         self.iter_from(0)
     }
 
@@ -205,8 +216,13 @@ pub(crate) mod model {
             self.items[..ordinal].iter().map(|b| b.weight()).sum()
         }
 
-        fn iter_from(&self, ordinal: usize) -> Box<dyn Iterator<Item = &T> + '_> {
-            Box::new(self.items[ordinal..].iter())
+        type Iter<'a>
+            = std::slice::Iter<'a, T>
+        where
+            T: 'a;
+
+        fn iter_from(&self, ordinal: usize) -> std::slice::Iter<'_, T> {
+            self.items[ordinal..].iter()
         }
     }
 }

@@ -15,18 +15,20 @@ use crate::{BlockSeq, Location, Weighted};
 const MAX_LEVEL: usize = 32;
 
 /// Sentinel index representing the NIL pointer at the end of every level.
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
 /// A forward pointer: the paper's `forward[i].point_at` plus the
 /// `skip_count` field, carried in both block and character units.
 ///
-/// Spans are `u32` (a single link never covers more than 2^32 blocks or
-/// characters — far beyond any document this system stores), which keeps
-/// a link at 16 bytes and roughly halves the tower memory traffic on the
-/// bulk-build and walk paths.
+/// Targets and spans are `u32` (a list never holds 2^32 nodes, and a
+/// single link never covers more than 2^32 blocks or characters — far
+/// beyond any document this system stores), which keeps a link at 12
+/// bytes and cuts the tower memory traffic on the bulk-build and walk
+/// paths.
 #[derive(Debug, Clone, Copy)]
 struct Link {
-    target: usize,
+    /// Arena index of the destination node, or [`NIL`].
+    target: u32,
     /// Blocks skipped when following this link, counting the destination:
     /// `rank(target) - rank(source)`.
     span_blocks: u32,
@@ -42,94 +44,30 @@ fn span(n: usize) -> u32 {
     n as u32
 }
 
-/// Tower heights ≤ this many links live inline in the arena node.
-/// Heights are geometric with p = 1/2, so ~75% of nodes never touch the
-/// heap — which keeps bulk loads ([`BlockSeq::extend_back`]) nearly
-/// allocation-free.
-const INLINE_LINKS: usize = 2;
+/// Narrows a node index to a link target; `alloc` keeps every index
+/// below [`NIL`].
+#[inline]
+fn target(node: usize) -> u32 {
+    debug_assert!(node < NIL as usize, "node index exceeds u32 range");
+    node as u32
+}
 
 const NIL_LINK: Link = Link { target: NIL, span_blocks: 0, span_weight: 0 };
 
-/// The forward links of one node: the first [`INLINE_LINKS`] levels
-/// inline, taller towers spilling the excess to a heap vector.
-#[derive(Debug)]
-struct Tower {
-    height: u8,
-    inline: [Link; INLINE_LINKS],
-    /// Links at level `INLINE_LINKS..height`.
-    spill: Vec<Link>,
-}
-
-impl Tower {
-    fn new() -> Tower {
-        Tower { height: 0, inline: [NIL_LINK; INLINE_LINKS], spill: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.height as usize
-    }
-
-    fn push(&mut self, link: Link) {
-        let h = self.height as usize;
-        if h < INLINE_LINKS {
-            self.inline[h] = link;
-        } else {
-            self.spill.push(link);
-        }
-        self.height += 1;
-    }
-
-    fn pop(&mut self) {
-        debug_assert!(self.height > 0);
-        if self.height as usize > INLINE_LINKS {
-            self.spill.pop();
-        }
-        self.height -= 1;
-    }
-
-    fn clear(&mut self) {
-        self.height = 0;
-        self.spill.clear();
-    }
-
-    fn get(&self, i: usize) -> Option<Link> {
-        if i < self.height as usize {
-            Some(self[i])
-        } else {
-            None
-        }
-    }
-}
-
-impl std::ops::Index<usize> for Tower {
-    type Output = Link;
-
-    fn index(&self, i: usize) -> &Link {
-        assert!(i < self.height as usize, "level {i} out of range");
-        if i < INLINE_LINKS {
-            &self.inline[i]
-        } else {
-            &self.spill[i - INLINE_LINKS]
-        }
-    }
-}
-
-impl std::ops::IndexMut<usize> for Tower {
-    fn index_mut(&mut self, i: usize) -> &mut Link {
-        assert!(i < self.height as usize, "level {i} out of range");
-        if i < INLINE_LINKS {
-            &mut self.inline[i]
-        } else {
-            &mut self.spill[i - INLINE_LINKS]
-        }
-    }
-}
-
+/// One arena slot. A node's forward links are not stored here: they are
+/// the contiguous run `links[links_at..links_at + height]` of the list's
+/// shared link arena, so building a node never allocates, however tall
+/// its tower, and dropping the list frees two vectors instead of one
+/// vector per tall tower.
 #[derive(Debug)]
 struct Node<T> {
     /// `None` only for the head sentinel and freed arena slots.
     value: Option<T>,
-    forward: Tower,
+    /// Offset of this node's tower in the link arena.
+    links_at: u32,
+    /// Number of levels the node takes part in (the head's grows with
+    /// the list; its tower is reserved at [`MAX_LEVEL`] links up front).
+    height: u8,
 }
 
 /// SplitMix64: a tiny, high-quality PRNG for tower heights, embedded so the
@@ -173,12 +111,27 @@ impl SplitMix64 {
 #[derive(Debug)]
 pub struct IndexedSkipList<T> {
     nodes: Vec<Node<T>>,
+    /// The link arena: every node's tower, each a contiguous run.
+    links: Vec<Link>,
+    /// Freed node slots, reused by the next insert.
     free: Vec<usize>,
+    /// Freed towers by height (`free_towers[h]` holds offsets of runs of
+    /// `h` links), reused by the next node of the same height.
+    free_towers: Vec<Vec<u32>>,
     len_blocks: usize,
     total_weight: usize,
     /// Number of levels currently in use (head tower height), at least 1.
     level: usize,
     rng: SplitMix64,
+}
+
+/// Per-level result of a position walk: `update[i]` is the node where the
+/// walk descended at level `i`, `ranks[i]` that node's cumulative
+/// (blocks, weight) rank. Fixed arrays, so walks never allocate; only the
+/// first `level` entries are meaningful.
+struct Walk {
+    update: [usize; MAX_LEVEL],
+    ranks: [(usize, usize); MAX_LEVEL],
 }
 
 impl<T: Weighted> Default for IndexedSkipList<T> {
@@ -196,12 +149,12 @@ impl<T: Weighted> IndexedSkipList<T> {
     /// Creates an empty list whose tower heights are drawn from the given
     /// seed, making the structure fully reproducible.
     pub fn with_seed(seed: u64) -> IndexedSkipList<T> {
-        let mut forward = Tower::new();
-        forward.push(NIL_LINK);
-        let head = Node { value: None, forward };
+        let head = Node { value: None, links_at: 0, height: 1 };
         IndexedSkipList {
             nodes: vec![head],
+            links: vec![NIL_LINK; MAX_LEVEL],
             free: Vec::new(),
+            free_towers: Vec::new(),
             len_blocks: 0,
             total_weight: 0,
             level: 1,
@@ -211,51 +164,96 @@ impl<T: Weighted> IndexedSkipList<T> {
 
     /// Draws a tower height with geometric distribution (p = 1/2).
     fn random_level(&mut self) -> usize {
-        let bits = self.rng.next();
-        ((bits.trailing_ones() as usize) + 1).min(MAX_LEVEL)
+        level_of(self.rng.next())
+    }
+
+    /// Node `x`'s forward link at level `i`.
+    #[inline]
+    fn link(&self, x: usize, i: usize) -> Link {
+        let node = &self.nodes[x];
+        debug_assert!(i < usize::from(node.height), "level {i} out of range");
+        self.links[node.links_at as usize + i]
+    }
+
+    /// Mutable access to node `x`'s forward link at level `i`.
+    #[inline]
+    fn link_mut(&mut self, x: usize, i: usize) -> &mut Link {
+        let node = &self.nodes[x];
+        debug_assert!(i < usize::from(node.height), "level {i} out of range");
+        &mut self.links[node.links_at as usize + i]
+    }
+
+    /// Raises the list to `lvl` levels; the head's new links get `fill`.
+    fn grow_levels(&mut self, lvl: usize, fill: Link) {
+        if lvl > self.level {
+            self.links[self.level..lvl].fill(fill);
+            self.level = lvl;
+            self.nodes[0].height = lvl as u8;
+        }
     }
 
     /// Walks to the node of block-rank `rank` (head has rank 0), recording
     /// for every level the node where the walk descended and that node's
     /// cumulative (blocks, weight) rank.
-    ///
-    /// Returns `(update, ranks)` where `update[i]` is the node index and
-    /// `ranks[i]` the (blocks, weight) rank of `update[i]`.
-    fn walk_to_rank(&self, rank: usize) -> (Vec<usize>, Vec<(usize, usize)>) {
-        let mut update = vec![0usize; self.level];
-        let mut ranks = vec![(0usize, 0usize); self.level];
+    fn walk_to_rank(&self, rank: usize) -> Walk {
+        let mut walk = Walk { update: [0; MAX_LEVEL], ranks: [(0, 0); MAX_LEVEL] };
         let mut x = 0usize;
         let mut remaining = rank;
         let mut acc_blocks = 0usize;
         let mut acc_weight = 0usize;
         for i in (0..self.level).rev() {
             loop {
-                let link = self.nodes[x].forward[i];
+                let link = self.link(x, i);
                 if link.target == NIL || link.span_blocks as usize > remaining {
                     break;
                 }
                 remaining -= link.span_blocks as usize;
                 acc_blocks += link.span_blocks as usize;
                 acc_weight += link.span_weight as usize;
-                x = link.target;
+                x = link.target as usize;
             }
-            update[i] = x;
-            ranks[i] = (acc_blocks, acc_weight);
+            walk.update[i] = x;
+            walk.ranks[i] = (acc_blocks, acc_weight);
         }
         debug_assert_eq!(remaining, 0, "rank walk must land exactly");
-        (update, ranks)
+        walk
     }
 
-    /// Allocates a node in the arena, reusing freed slots.
-    fn alloc(&mut self, value: T, _levels: usize) -> usize {
-        let node = Node { value: Some(value), forward: Tower::new() };
+    /// Allocates a node with a tower of `levels` NIL links, reusing a freed
+    /// slot and a freed tower of the same height when there is one.
+    fn alloc(&mut self, value: T, levels: usize) -> usize {
+        let links_at = match self.free_towers.get_mut(levels).and_then(Vec::pop) {
+            Some(at) => {
+                let start = at as usize;
+                self.links[start..start + levels].fill(NIL_LINK);
+                at
+            }
+            None => {
+                let at = self.links.len();
+                self.links.resize(at + levels, NIL_LINK);
+                u32::try_from(at).expect("link arena exceeds u32 range")
+            }
+        };
+        let node = Node { value: Some(value), links_at, height: levels as u8 };
         if let Some(idx) = self.free.pop() {
             self.nodes[idx] = node;
             idx
         } else {
+            assert!(self.nodes.len() < NIL as usize, "node arena exceeds u32 range");
             self.nodes.push(node);
             self.nodes.len() - 1
         }
+    }
+
+    /// Returns node `x`'s slot and tower to the free lists.
+    fn release(&mut self, x: usize) {
+        let height = usize::from(self.nodes[x].height);
+        if self.free_towers.len() <= height {
+            self.free_towers.resize_with(height + 1, Vec::new);
+        }
+        self.free_towers[height].push(self.nodes[x].links_at);
+        self.nodes[x].height = 0;
+        self.free.push(x);
     }
 
     /// Sums `(span_blocks, span_weight)` along the forward chain of each
@@ -270,13 +268,13 @@ impl<T: Weighted> IndexedSkipList<T> {
                 let mut x = 0usize;
                 let (mut blocks, mut weight) = (0usize, 0usize);
                 loop {
-                    let link = self.nodes[x].forward[i];
+                    let link = self.link(x, i);
                     blocks += link.span_blocks as usize;
                     weight += link.span_weight as usize;
                     if link.target == NIL {
                         break;
                     }
-                    x = link.target;
+                    x = link.target as usize;
                 }
                 (blocks, weight)
             })
@@ -298,8 +296,9 @@ impl<T: Weighted> IndexedSkipList<T> {
         rank_of.insert(0usize, (0usize, 0usize));
         let mut blocks = 0usize;
         let mut weight = 0usize;
+        assert_eq!(usize::from(self.nodes[0].height), self.level, "head height is the level");
         loop {
-            let link = self.nodes[x].forward[0];
+            let link = self.link(x, 0);
             assert_eq!(
                 link.span_blocks as usize,
                 if link.target == NIL { self.len_blocks - blocks } else { 1 }
@@ -308,7 +307,7 @@ impl<T: Weighted> IndexedSkipList<T> {
                 assert_eq!(link.span_weight as usize, self.total_weight - weight);
                 break;
             }
-            x = link.target;
+            x = link.target as usize;
             let w = self.nodes[x].value.as_ref().expect("live node has a value").weight();
             assert_eq!(
                 link.span_weight as usize,
@@ -326,23 +325,29 @@ impl<T: Weighted> IndexedSkipList<T> {
         for i in 0..self.level {
             let mut x = 0usize;
             loop {
-                let link = self.nodes[x]
-                    .forward
-                    .get(i)
-                    .unwrap_or_else(|| panic!("node on chain missing level {i}"));
+                assert!(
+                    i < usize::from(self.nodes[x].height),
+                    "node on chain missing level {i}"
+                );
+                let link = self.link(x, i);
                 let (rb, rw) = rank_of[&x];
                 if link.target == NIL {
                     assert_eq!(link.span_blocks as usize, self.len_blocks - rb);
                     assert_eq!(link.span_weight as usize, self.total_weight - rw);
                     break;
                 }
-                let (tb, tw) = rank_of[&link.target];
+                let (tb, tw) = rank_of[&(link.target as usize)];
                 assert_eq!(link.span_blocks as usize, tb - rb, "span_blocks at level {i}");
                 assert_eq!(link.span_weight as usize, tw - rw, "span_weight at level {i}");
-                x = link.target;
+                x = link.target as usize;
             }
         }
     }
+}
+
+/// Tower height for one PRNG draw: geometric with p = 1/2.
+fn level_of(bits: u64) -> usize {
+    ((bits.trailing_ones() as usize) + 1).min(MAX_LEVEL)
 }
 
 impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
@@ -358,8 +363,8 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
         if ordinal >= self.len_blocks {
             return None;
         }
-        let (update, _) = self.walk_to_rank(ordinal);
-        let target = self.nodes[update[0]].forward[0].target;
+        let walk = self.walk_to_rank(ordinal);
+        let target = self.link(walk.update[0], 0).target as usize;
         self.nodes[target].value.as_ref()
     }
 
@@ -368,91 +373,81 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
         let w = value.weight();
         assert!(w > 0, "blocks must have positive weight");
         let lvl = self.random_level();
-        if lvl > self.level {
-            // Grow the head tower; new levels span the whole list.
-            for _ in self.level..lvl {
-                self.nodes[0].forward.push(Link {
-                    target: NIL,
-                    span_blocks: span(self.len_blocks),
-                    span_weight: span(self.total_weight),
-                });
-            }
-            self.level = lvl;
-        }
-        let (update, ranks) = self.walk_to_rank(ordinal);
+        // New levels span the whole list.
+        self.grow_levels(
+            lvl,
+            Link {
+                target: NIL,
+                span_blocks: span(self.len_blocks),
+                span_weight: span(self.total_weight),
+            },
+        );
+        let Walk { update, ranks } = self.walk_to_rank(ordinal);
         let wk = ranks[0].1; // weight of blocks before the insertion point
         let new_idx = self.alloc(value, lvl);
         for i in 0..lvl {
             let u = update[i];
-            let old = self.nodes[u].forward[i];
+            let old = self.link(u, i);
             let nb = span(ordinal + 1 - ranks[i].0);
             let nw = span(wk + w - ranks[i].1);
-            let out_link = Link {
+            *self.link_mut(new_idx, i) = Link {
                 target: old.target,
                 span_blocks: old.span_blocks - (nb - 1),
                 span_weight: old.span_weight - (nw - span(w)),
             };
-            self.nodes[new_idx].forward.push(out_link);
-            self.nodes[u].forward[i] =
-                Link { target: new_idx, span_blocks: nb, span_weight: nw };
+            *self.link_mut(u, i) =
+                Link { target: target(new_idx), span_blocks: nb, span_weight: nw };
         }
-        for (i, &u) in update.iter().enumerate().skip(lvl) {
-            self.nodes[u].forward[i].span_blocks += 1;
-            self.nodes[u].forward[i].span_weight += span(w);
+        for (i, &u) in update.iter().enumerate().take(self.level).skip(lvl) {
+            let link = self.link_mut(u, i);
+            link.span_blocks += 1;
+            link.span_weight += span(w);
         }
         self.len_blocks += 1;
         self.total_weight += w;
     }
 
     /// Bulk append: one walk to the end seeds per-level tail pointers,
-    /// then every item links in without a position search (and without
-    /// the two per-insert rank vectors [`insert`](BlockSeq::insert)
-    /// allocates). Tail links — the per-level links that run past the
-    /// end of the list — carry placeholder spans during the loop and are
-    /// patched in one pass at the end, so each item costs `O(its own
-    /// tower height)` instead of `O(list height)`. Draws tower heights
-    /// in the same order as sequential end-inserts, so the resulting
-    /// structure is identical.
-    fn extend_back(&mut self, items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        self.nodes.reserve(items.len().saturating_sub(self.free.len()));
-        let (mut update, mut ranks) = self.walk_to_rank(self.len_blocks);
+    /// then every item links in without a position search. Tail links —
+    /// the per-level links that run past the end of the list — carry
+    /// placeholder spans during the loop and are patched in one pass at
+    /// the end, so each item costs `O(its own tower height)` instead of
+    /// `O(list height)`. The node and link arenas are reserved once up
+    /// front for the iterator's upper size bound (a clone of the height
+    /// PRNG counts the links that many items need), so the build
+    /// allocates a constant number of times however many items and tall
+    /// towers it holds. Draws tower heights in the same order as
+    /// sequential end-inserts, so the resulting structure is identical.
+    fn extend_back<I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = T>,
+        Self: Sized,
+    {
+        let items = items.into_iter();
+        let expected = match items.size_hint() {
+            (_, Some(0)) => return,
+            (lower, upper) => upper.unwrap_or(lower),
+        };
+        let mut heights = self.rng.clone();
+        let tower_links: usize = (0..expected).map(|_| level_of(heights.next())).sum();
+        self.nodes.reserve(expected.saturating_sub(self.free.len()));
+        self.links.reserve(tower_links);
+        let Walk { mut update, mut ranks } = self.walk_to_rank(self.len_blocks);
         for value in items {
             let w = value.weight();
             assert!(w > 0, "blocks must have positive weight");
             let lvl = self.random_level();
-            if lvl > self.level {
-                for _ in self.level..lvl {
-                    // Placeholder span; the final fixup below rewrites it.
-                    self.nodes[0].forward.push(Link {
-                        target: NIL,
-                        span_blocks: 0,
-                        span_weight: 0,
-                    });
-                }
-                self.level = lvl;
-                update.resize(self.level, 0);
-                ranks.resize(self.level, (0, 0));
-            }
+            // New head levels keep the walk's zeroed entries (the head at
+            // rank 0); the final fixup below rewrites their spans.
+            self.grow_levels(lvl, NIL_LINK);
             let ordinal = self.len_blocks;
             let wk = self.total_weight;
             let new_idx = self.alloc(value, lvl);
             for i in 0..lvl {
                 let u = update[i];
-                debug_assert_eq!(
-                    self.nodes[u].forward[i].target,
-                    NIL,
-                    "tail links point past the end"
-                );
-                self.nodes[new_idx].forward.push(Link {
-                    target: NIL,
-                    span_blocks: 0,
-                    span_weight: 0,
-                });
-                self.nodes[u].forward[i] = Link {
-                    target: new_idx,
+                debug_assert_eq!(self.link(u, i).target, NIL, "tail links point past the end");
+                *self.link_mut(u, i) = Link {
+                    target: target(new_idx),
                     span_blocks: span(ordinal + 1 - ranks[i].0),
                     span_weight: span(wk + w - ranks[i].1),
                 };
@@ -464,7 +459,7 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
         }
         // Patch every tail link: it spans from its node to the (new) end.
         for i in 0..self.level {
-            self.nodes[update[i]].forward[i] = Link {
+            *self.link_mut(update[i], i) = Link {
                 target: NIL,
                 span_blocks: span(self.len_blocks - ranks[i].0),
                 span_weight: span(self.total_weight - ranks[i].1),
@@ -474,36 +469,34 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
 
     fn remove(&mut self, ordinal: usize) -> T {
         assert!(ordinal < self.len_blocks, "remove ordinal {ordinal} out of range");
-        let (update, _) = self.walk_to_rank(ordinal);
-        let target = self.nodes[update[0]].forward[0].target;
-        debug_assert_ne!(target, NIL);
+        let Walk { update, .. } = self.walk_to_rank(ordinal);
+        let target = self.link(update[0], 0).target as usize;
         let w = self.nodes[target].value.as_ref().expect("live node").weight();
-        let target_levels = self.nodes[target].forward.len();
-        for (i, &u) in update.iter().enumerate() {
-            if i < target_levels && self.nodes[u].forward[i].target == target {
-                let t_link = self.nodes[target].forward[i];
-                let u_link = &mut self.nodes[u].forward[i];
+        let target_levels = usize::from(self.nodes[target].height);
+        for (i, &u) in update.iter().enumerate().take(self.level) {
+            if i < target_levels && self.link(u, i).target as usize == target {
+                let t_link = self.link(target, i);
+                let u_link = self.link_mut(u, i);
                 u_link.target = t_link.target;
                 u_link.span_blocks += t_link.span_blocks;
                 u_link.span_weight += t_link.span_weight;
                 u_link.span_blocks -= 1;
                 u_link.span_weight -= span(w);
             } else {
-                let u_link = &mut self.nodes[u].forward[i];
+                let u_link = self.link_mut(u, i);
                 u_link.span_blocks -= 1;
                 u_link.span_weight -= span(w);
             }
         }
         // Shrink unused levels (keep at least one).
-        while self.level > 1 && self.nodes[0].forward[self.level - 1].target == NIL {
-            self.nodes[0].forward.pop();
+        while self.level > 1 && self.link(0, self.level - 1).target == NIL {
             self.level -= 1;
+            self.nodes[0].height -= 1;
         }
         self.len_blocks -= 1;
         self.total_weight -= w;
         let value = self.nodes[target].value.take().expect("live node");
-        self.nodes[target].forward.clear();
-        self.free.push(target);
+        self.release(target);
         value
     }
 
@@ -511,14 +504,14 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
         assert!(ordinal < self.len_blocks, "replace ordinal {ordinal} out of range");
         let new_w = value.weight();
         assert!(new_w > 0, "blocks must have positive weight");
-        let (update, _) = self.walk_to_rank(ordinal);
-        let target = self.nodes[update[0]].forward[0].target;
+        let Walk { update, .. } = self.walk_to_rank(ordinal);
+        let target = self.link(update[0], 0).target as usize;
         let old_w = self.nodes[target].value.as_ref().expect("live node").weight();
         if new_w != old_w {
             // Exactly one link per level covers the target block; it is the
             // link leaving update[i].
-            for (i, &u) in update.iter().enumerate() {
-                let u_link = &mut self.nodes[u].forward[i];
+            for (i, &u) in update.iter().enumerate().take(self.level) {
+                let u_link = self.link_mut(u, i);
                 u_link.span_weight = u_link.span_weight + span(new_w) - span(old_w);
             }
             self.total_weight = self.total_weight + new_w - old_w;
@@ -536,13 +529,13 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
         let mut acc_blocks = 0usize;
         for i in (0..self.level).rev() {
             loop {
-                let link = self.nodes[x].forward[i];
+                let link = self.link(x, i);
                 if link.target == NIL || link.span_weight as usize > remaining {
                     break;
                 }
                 remaining -= link.span_weight as usize;
                 acc_blocks += link.span_blocks as usize;
-                x = link.target;
+                x = link.target as usize;
             }
         }
         Some(Location { block: acc_blocks, offset: remaining })
@@ -550,35 +543,41 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
 
     fn weight_before(&self, ordinal: usize) -> usize {
         assert!(ordinal <= self.len_blocks, "ordinal {ordinal} out of range");
-        let (_, ranks) = self.walk_to_rank(ordinal);
-        ranks[0].1
+        self.walk_to_rank(ordinal).ranks[0].1
     }
 
-    fn iter_from(&self, ordinal: usize) -> Box<dyn Iterator<Item = &T> + '_> {
-        let start = if ordinal >= self.len_blocks {
+    type Iter<'a>
+        = SkipListIter<'a, T>
+    where
+        T: 'a;
+
+    fn iter_from(&self, ordinal: usize) -> SkipListIter<'_, T> {
+        let cursor = if ordinal >= self.len_blocks {
             NIL
         } else {
-            let (update, _) = self.walk_to_rank(ordinal);
-            self.nodes[update[0]].forward[0].target
+            self.link(self.walk_to_rank(ordinal).update[0], 0).target
         };
-        Box::new(Iter { list: self, cursor: start })
+        SkipListIter { list: self, cursor }
     }
 }
 
-struct Iter<'a, T> {
+/// In-order iterator over an [`IndexedSkipList`]'s blocks (see
+/// [`BlockSeq::iter_from`]): follows the level-0 links.
+#[derive(Debug)]
+pub struct SkipListIter<'a, T> {
     list: &'a IndexedSkipList<T>,
-    cursor: usize,
+    cursor: u32,
 }
 
-impl<'a, T: Weighted> Iterator for Iter<'a, T> {
+impl<'a, T: Weighted> Iterator for SkipListIter<'a, T> {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
         if self.cursor == NIL {
             return None;
         }
-        let node = &self.list.nodes[self.cursor];
-        self.cursor = node.forward[0].target;
+        let node = &self.list.nodes[self.cursor as usize];
+        self.cursor = self.list.links[node.links_at as usize].target;
         node.value.as_ref()
     }
 }
@@ -742,6 +741,27 @@ mod tests {
         assert!(list.is_empty());
         // The arena should not have grown linearly with total insertions.
         assert!(list.nodes.len() <= 22, "arena grew to {}", list.nodes.len());
+        // Nor should the link arena: freed towers are reused by height.
+        let live_links = MAX_LEVEL + 20 * 4;
+        assert!(list.links.len() <= live_links, "link arena grew to {}", list.links.len());
+    }
+
+    /// Every level's chain of `(span_blocks, span_weight)` from the head.
+    fn level_chains(list: &IndexedSkipList<B>) -> Vec<Vec<(u32, u32)>> {
+        (0..list.level)
+            .map(|i| {
+                let mut chain = Vec::new();
+                let mut x = 0;
+                loop {
+                    let link = list.link(x, i);
+                    chain.push((link.span_blocks, link.span_weight));
+                    if link.target == NIL {
+                        break chain;
+                    }
+                    x = link.target as usize;
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -777,7 +797,7 @@ mod tests {
         }
         bulk.assert_invariants();
         assert_eq!(contents(&bulk), contents(&serial));
-        assert_eq!(bulk.level_span_totals(), serial.level_span_totals());
+        assert_eq!(level_chains(&bulk), level_chains(&serial), "every span must match");
         assert_eq!(bulk.len_blocks(), 500);
         // Appending to a non-empty list continues the same structure.
         let mut grown = IndexedSkipList::with_seed(77);
@@ -785,7 +805,7 @@ mod tests {
         grown.extend_back(words[100..].to_vec());
         grown.assert_invariants();
         assert_eq!(contents(&grown), contents(&serial));
-        assert_eq!(grown.level_span_totals(), serial.level_span_totals());
+        assert_eq!(level_chains(&grown), level_chains(&serial));
     }
 
     #[test]

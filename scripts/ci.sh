@@ -50,6 +50,7 @@ assert isinstance(report["aesni_supported"], bool), "missing aesni_supported"
 seen = set()
 for row in rows:
     assert row["fast_encrypt_s"] > 0 and row["fast_decrypt_s"] > 0, row
+    assert row["fast_serialize_s"] > 0 and row["fast_open_s"] > 0, row
     assert row["aes_backend"] in {"scalar", "table", "aesni"}, row
     seen.add(row["aes_backend"])
 assert {"scalar", "table"} <= seen, f"fallback rows missing: {seen}"
