@@ -36,7 +36,7 @@ fn main() {
     println!("# Durable store — append throughput and crash-recovery replay\n");
     println!(
         "{append_records} appends of {PAYLOAD_BYTES}-byte payloads per policy; \
-         replay = cold LogStore::open over the whole WAL.\n"
+         replay = cold single-shard ShardedLogStore::open over the whole WAL.\n"
     );
 
     let appends = append_sweep(&policies, append_records);

@@ -1,17 +1,18 @@
 //! Durable-store benchmarks: append throughput under each fsync policy,
 //! and WAL replay (crash-recovery) time as the log grows.
 //!
-//! Both sweeps run against a real [`LogStore`] directory on the local
-//! filesystem, so the numbers include every fsync the policy demands.
-//! Throughput and replay figures are cross-checked against the live
-//! `store.*` metrics the engine records, so the bench and production
-//! telemetry can never disagree.
+//! Every sweep runs against a real [`ShardedLogStore`] directory on the
+//! local filesystem (one shard unless the sweep varies the count), so
+//! the numbers include every fsync the policy demands.
+//! Fsync and replay counts come from each store's own counters, not the
+//! process-global metrics registry, so tests running side by side cannot
+//! skew a row.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use pe_store::{DocStore, FsyncPolicy, LogStore, ShardedLogStore, StoreConfig};
+use pe_store::{shard_dir, DocStore, FsyncPolicy, ShardedLogStore, StoreConfig};
 
 /// A scratch directory deleted on drop.
 struct TempDir(PathBuf);
@@ -57,7 +58,8 @@ pub struct AppendRow {
     pub appends_per_s: f64,
     /// Payload megabytes per second.
     pub mb_per_s: f64,
-    /// Actual `fsync` calls issued (`store.fsyncs`).
+    /// Group-commit `fsync` calls the store issued for the appends
+    /// (its own [`pe_store::GroupStats`]; the final flush is not counted).
     pub fsyncs: u64,
 }
 
@@ -89,7 +91,7 @@ pub struct GroupRow {
 pub struct ShardReplayRow {
     /// Records (= distinct documents) in the store before reopening.
     pub records: u64,
-    /// Shards the log is split over (1 = the legacy layout).
+    /// Shards the log is split over (1 = a single WAL).
     pub shards: usize,
     /// Total bytes on disk across every shard's segments.
     pub log_bytes: u64,
@@ -108,7 +110,8 @@ pub struct ReplayRow {
     pub records: u64,
     /// Total bytes on disk (segments) replayed at open.
     pub log_bytes: u64,
-    /// Wall-clock seconds for `LogStore::open` (the full recovery).
+    /// Wall-clock seconds for a single-shard `ShardedLogStore::open`
+    /// (the full recovery).
     pub open_wall_s: f64,
     /// Records replayed per second.
     pub replay_per_s: f64,
@@ -120,7 +123,7 @@ fn payload(i: usize) -> Vec<u8> {
     (0..PAYLOAD_BYTES).map(|j| ((i * 31 + j * 7) % 251) as u8).collect()
 }
 
-fn write_records(store: &LogStore, records: u64) {
+fn write_records(store: &ShardedLogStore, records: u64) {
     for i in 0..records as usize {
         store
             .put_full(&format!("doc{}", i % DOCS), &payload(i))
@@ -133,16 +136,16 @@ pub fn append_sweep(policies: &[FsyncPolicy], records: u64) -> Vec<AppendRow> {
     policies
         .iter()
         .map(|&fsync| {
-            pe_observe::global().reset();
             let dir = TempDir::new("append");
-            let store = LogStore::open(&dir.0, StoreConfig { fsync, ..StoreConfig::default() })
-                .expect("open bench store");
+            let store =
+                ShardedLogStore::open(&dir.0, 1, StoreConfig { fsync, ..StoreConfig::default() })
+                    .expect("open bench store");
             let started = Instant::now();
             write_records(&store, records);
             store.flush().expect("final flush");
             let wall_s = started.elapsed().as_secs_f64();
+            let fsyncs = store.group_stats().fsyncs;
             drop(store);
-            let fsyncs = pe_observe::global().snapshot().counter("store.fsyncs").unwrap_or(0);
             AppendRow {
                 policy: fsync.label(),
                 records,
@@ -223,7 +226,8 @@ pub fn group_commit_sweep(
         .collect()
 }
 
-/// Measures full recovery (`LogStore::open` replay) at each log size.
+/// Measures full recovery (single-shard `ShardedLogStore::open` replay)
+/// at each log size.
 ///
 /// The log is written with [`FsyncPolicy::Never`] — write speed is not
 /// under test here — then the store is dropped and reopened cold.
@@ -232,8 +236,9 @@ pub fn replay_sweep(sizes: &[u64]) -> Vec<ReplayRow> {
         .iter()
         .map(|&records| {
             let dir = TempDir::new("replay");
-            let store = LogStore::open(
+            let store = ShardedLogStore::open(
                 &dir.0,
+                1,
                 StoreConfig { fsync: FsyncPolicy::Never, ..StoreConfig::default() },
             )
             .expect("open bench store");
@@ -241,20 +246,13 @@ pub fn replay_sweep(sizes: &[u64]) -> Vec<ReplayRow> {
             store.flush().expect("flush before close");
             drop(store);
 
-            let log_bytes = std::fs::read_dir(&dir.0)
-                .expect("read store dir")
-                .filter_map(Result::ok)
-                .filter_map(|e| e.metadata().ok())
-                .map(|m| m.len())
-                .sum();
+            let log_bytes = dir_bytes(&shard_dir(&dir.0, 0));
 
-            pe_observe::global().reset();
             let started = Instant::now();
-            let reopened = LogStore::open(&dir.0, StoreConfig::default()).expect("reopen");
+            let reopened =
+                ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).expect("reopen");
             let open_wall_s = started.elapsed().as_secs_f64();
-            let snapshot = pe_observe::global().snapshot();
-            let replayed = snapshot.counter("store.replay_records").unwrap_or(0);
-            assert_eq!(replayed, records, "replay must visit every record");
+            assert_eq!(reopened.replayed_records(), records, "replay must visit every record");
             let docs = reopened.list().len() as u64;
             ReplayRow {
                 records,
@@ -308,14 +306,11 @@ pub fn sharded_replay_sweep(cases: &[(u64, usize)]) -> Vec<ShardReplayRow> {
             drop(store);
 
             let log_bytes = dir_bytes(&dir.0);
-            pe_observe::global().reset();
             let started = Instant::now();
             let reopened =
                 ShardedLogStore::open(&dir.0, shards, StoreConfig::default()).expect("reopen");
             let open_wall_s = started.elapsed().as_secs_f64();
-            let replayed =
-                pe_observe::global().snapshot().counter("store.replay_records").unwrap_or(0);
-            assert_eq!(replayed, records, "replay must visit every record");
+            assert_eq!(reopened.replayed_records(), records, "replay must visit every record");
             assert_eq!(reopened.shard_count(), shards, "manifest must pin the shard count");
             let docs = reopened.list().len() as u64;
             ShardReplayRow {

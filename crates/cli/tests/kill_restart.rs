@@ -1,6 +1,6 @@
 //! Crash-durability end-to-end test: a save acknowledged over the
 //! socket must survive a `SIGKILL` of the serving process — the
-//! property the durable `LogStore` directory exists to provide. The
+//! property the durable store directory exists to provide. The
 //! server runs as a real child process (the actual `pedit` binary) so
 //! the kill is a genuine process death, not a simulated one.
 
@@ -120,44 +120,11 @@ fn acknowledged_saves_survive_sigkill_and_restart() {
     assert_eq!(local, "and edited after the restart");
 }
 
-#[test]
-fn legacy_text_store_file_is_migrated_by_serve() {
-    let store = TempPath::new("legacy");
-    let addr_file = TempPath::new("legacy-addr");
-
-    // Build a legacy single-file text store with one document in it.
-    let created = pedit(&["--store", store.str(), "create", "--password", "pw"]).unwrap();
-    let doc = created.strip_prefix("created ").unwrap().to_string();
-    pedit(&["--store", store.str(), "save", "--doc", &doc, "--password", "pw", "--text",
-            "born in a text file"])
-        .unwrap();
-    assert!(store.0.is_file(), "seed store should be a legacy file");
-
-    // `serve` migrates it to a durable directory at the same path.
-    let mut child = spawn_serve(store.str(), addr_file.str());
-    let addr = wait_for_addr(&addr_file.0);
-    let shown = pedit(&["--connect", &addr, "show", "--doc", &doc, "--password", "pw"]).unwrap();
-    assert_eq!(shown, "born in a text file");
-    assert_eq!(pedit(&["--connect", &addr, "stop"]).unwrap(), "server stopping");
-    child.wait().expect("reap serve");
-
-    assert!(store.0.is_dir(), "store should now be a log directory");
-    let mut legacy = store.0.as_os_str().to_os_string();
-    legacy.push(".legacy");
-    assert!(!PathBuf::from(legacy).exists(), "legacy file should be cleaned up");
-    let report = pedit(&["fsck", store.str()]).unwrap();
-    assert!(report.contains("store healthy"), "fsck after migration: {report}");
-    let local =
-        pedit(&["--store", store.str(), "show", "--doc", &doc, "--password", "pw"]).unwrap();
-    assert_eq!(local, "born in a text file");
-}
-
 /// The sharded drill: a multi-shard store serves over the socket, dies
-/// by SIGKILL mid-life, recovers every acknowledged save across all
-/// shards on restart, and survives fsck + a legacy→sharded migration
-/// round trip.
+/// by SIGKILL mid-life, passes fsck on every shard, and recovers every
+/// acknowledged save across all shards on restart.
 #[test]
-fn sharded_store_survives_sigkill_and_legacy_stores_migrate() {
+fn sharded_store_survives_sigkill_and_restart() {
     let store = TempPath::new("sharded");
     let addr_file = TempPath::new("sharded-addr");
 
@@ -212,23 +179,4 @@ fn sharded_store_survives_sigkill_and_legacy_stores_migrate() {
     let local =
         pedit(&["--store", store.str(), "show", "--doc", &docs[0], "--password", "pw"]).unwrap();
     assert_eq!(local, "edited after restart");
-
-    // --- Migration: a legacy WAL directory converts in place. ---
-    let legacy = TempPath::new("sharded-legacy");
-    {
-        use pe_store::{DocStore, LogStore, StoreConfig};
-        let old = LogStore::open(&legacy.0, StoreConfig::default()).unwrap();
-        old.put_full("relic", b"from the single-log era").unwrap();
-    }
-    let compacted = pedit(&["compact", legacy.str(), "--shards", "3"]).unwrap();
-    assert!(compacted.contains("3 shard(s)"), "migration output: {compacted}");
-    assert!(legacy.0.join("pe-shards").is_file());
-    let report = pedit(&["fsck", legacy.str()]).unwrap();
-    assert!(report.contains("store healthy"), "fsck after migration: {report}");
-    {
-        use pe_store::{DocStore, ShardedLogStore, StoreConfig};
-        let migrated = ShardedLogStore::open(&legacy.0, 1, StoreConfig::default()).unwrap();
-        assert_eq!(migrated.shard_count(), 3);
-        assert_eq!(migrated.content("relic").unwrap(), b"from the single-log era");
-    }
 }

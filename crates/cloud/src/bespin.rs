@@ -14,7 +14,7 @@ use crate::{CloudService, Method, Request, Response};
 /// A whole-file PUT/GET code-hosting server.
 ///
 /// Storage is pluggable via [`DocStore`] — in-memory by default, or a
-/// durable [`pe_store::LogStore`] so pushed files survive a crash.
+/// durable [`pe_store::ShardedLogStore`] so pushed files survive a crash.
 ///
 /// # Example
 ///

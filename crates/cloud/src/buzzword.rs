@@ -49,7 +49,7 @@ where
 /// A whole-document XML store.
 ///
 /// Storage is pluggable via [`DocStore`] — in-memory by default, or a
-/// durable [`pe_store::LogStore`] so posted documents survive a crash.
+/// durable [`pe_store::ShardedLogStore`] so posted documents survive a crash.
 ///
 /// # Example
 ///

@@ -22,7 +22,7 @@
 //!
 //! Storage is pluggable: the server is a protocol veneer over any
 //! [`DocStore`] — [`MemStore`](pe_store::MemStore) by default (tests,
-//! examples), or a durable [`pe_store::LogStore`] in the `pedit serve`
+//! examples), or a durable [`pe_store::ShardedLogStore`] in the `pedit`
 //! stack, where an acknowledged save survives `kill -9`.
 
 use std::borrow::Cow;
@@ -144,7 +144,7 @@ impl DocsServer {
     }
 
     /// Creates a server over an existing store — a durable
-    /// [`pe_store::LogStore`] makes every acknowledged save survive a
+    /// [`pe_store::ShardedLogStore`] makes every acknowledged save survive a
     /// crash; documents already in the store are served as-is.
     pub fn with_store(store: Arc<dyn DocStore>) -> DocsServer {
         DocsServer {
@@ -211,106 +211,6 @@ impl DocsServer {
             .into_iter()
             .filter(|id| !id.starts_with(crate::tenant::TENANT_PREFIX))
             .collect()
-    }
-
-    /// Serializes the full server state into a line-oriented snapshot
-    /// (one form-encoded line per document) so tools like the `pedit` CLI
-    /// can persist the "cloud" across invocations.
-    pub fn snapshot(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("next_doc={}\n", self.store.meta(META_NEXT_DOC).unwrap_or(0)));
-        out.push_str(&format!(
-            "next_session={}\n",
-            self.store.meta(META_NEXT_SESSION).unwrap_or(0)
-        ));
-        for id in self.store.list() {
-            let Some(doc) = self.store.get(&id) else { continue };
-            let mut fields: Vec<(&str, Cow<'_, str>)> = vec![
-                ("docID", Cow::Borrowed(id.as_str())),
-                ("content", String::from_utf8_lossy(&doc.content)),
-                ("version", Cow::Owned(doc.version.to_string())),
-            ];
-            for revision in &doc.revisions {
-                fields.push(("revision", String::from_utf8_lossy(revision)));
-            }
-            out.push_str(&form::encode_pairs(&fields));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Restores a server from a [`DocsServer::snapshot`] string into a
-    /// fresh in-memory store. To restore into a durable store, pass it to
-    /// [`DocsServer::restore_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed line on failure.
-    pub fn restore(snapshot: &str) -> Result<DocsServer, String> {
-        let store: Arc<dyn DocStore> = Arc::new(MemStore::new());
-        Self::restore_into(snapshot, &store)?;
-        Ok(DocsServer::with_store(store))
-    }
-
-    /// Replays a [`DocsServer::snapshot`] string into an existing store:
-    /// each document's save history is re-executed (create, then one full
-    /// save per revision, then the current content), so version counters
-    /// and revision lists reconstruct exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed line, or of the storage
-    /// failure, on error.
-    pub fn restore_into(snapshot: &str, store: &Arc<dyn DocStore>) -> Result<(), String> {
-        for (line_no, line) in snapshot.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(n) = line.strip_prefix("next_doc=") {
-                let n: u64 = n.parse().map_err(|_| format!("line {line_no}: bad next_doc"))?;
-                store
-                    .set_meta(META_NEXT_DOC, n)
-                    .map_err(|e| format!("line {line_no}: {e}"))?;
-                continue;
-            }
-            if let Some(n) = line.strip_prefix("next_session=") {
-                let n: u64 =
-                    n.parse().map_err(|_| format!("line {line_no}: bad next_session"))?;
-                store
-                    .set_meta(META_NEXT_SESSION, n)
-                    .map_err(|e| format!("line {line_no}: {e}"))?;
-                continue;
-            }
-            let pairs = form::parse_pairs(line).map_err(|e| format!("line {line_no}: {e}"))?;
-            let doc_id = form::first_value(&pairs, "docID")
-                .ok_or_else(|| format!("line {line_no}: missing docID"))?
-                .to_string();
-            let content = form::first_value(&pairs, "content").unwrap_or("");
-            let revisions: Vec<&str> =
-                pairs.iter().filter(|(k, _)| k == "revision").map(|(_, v)| v.as_str()).collect();
-            let io = |e: StoreError| format!("line {line_no}: {e}");
-            store.create(&doc_id).map_err(io)?;
-            // Replay the save history. A document's first revision is the
-            // empty content `create` installed, so it is skipped — the
-            // remaining revisions and the final content are one full save
-            // each, reconstructing version == revisions.len().
-            let mut history = revisions.iter();
-            match history.next() {
-                Some(&"") | None => {}
-                Some(&first) => {
-                    // Foreign snapshot whose history does not start empty:
-                    // replay it verbatim (versions shift by one).
-                    store.put_full(&doc_id, first.as_bytes()).map_err(io)?;
-                }
-            }
-            for revision in history {
-                store.put_full(&doc_id, revision.as_bytes()).map_err(io)?;
-            }
-            if !revisions.is_empty() || !content.is_empty() {
-                store.put_full(&doc_id, content.as_bytes()).map_err(io)?;
-            }
-        }
-        Ok(())
     }
 
     fn revisions(&self, doc_id: &str, index: Option<&str>) -> Response {
@@ -690,32 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrip() {
-        let server = DocsServer::new();
-        let doc = create_doc(&server);
-        save_contents(&server, &doc, "persistent content with = & % chars");
-        save_delta(&server, &doc, "+more ");
-        let snapshot = server.snapshot();
-        let restored = DocsServer::restore(&snapshot).unwrap();
-        assert_eq!(
-            restored.stored_content(&doc),
-            server.stored_content(&doc)
-        );
-        assert_eq!(restored.stored_version(&doc), server.stored_version(&doc));
-        assert_eq!(restored.stored_revisions(&doc), server.stored_revisions(&doc));
-        // Restored servers continue issuing fresh ids.
-        let resp = restored.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
-        let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
-        assert_ne!(form::first_value(&pairs, "docID"), Some(doc.as_str()));
-    }
-
-    #[test]
-    fn restore_rejects_garbage() {
-        assert!(DocsServer::restore("next_doc=abc").is_err());
-        assert!(DocsServer::restore("content=x").is_err(), "missing docID");
-    }
-
-    #[test]
     fn revision_history_is_kept() {
         let server = DocsServer::new();
         let doc = create_doc(&server);
@@ -822,7 +696,8 @@ mod tests {
         let doc;
         {
             let store: Arc<dyn DocStore> = Arc::new(
-                pe_store::LogStore::open(&dir, pe_store::StoreConfig::default()).unwrap(),
+                pe_store::ShardedLogStore::open(&dir, 1, pe_store::StoreConfig::default())
+                    .unwrap(),
             );
             let server = DocsServer::with_store(store);
             doc = create_doc(&server);
@@ -830,7 +705,7 @@ mod tests {
             save_delta(&server, &doc, "=8\t+ the crash");
         }
         let store: Arc<dyn DocStore> = Arc::new(
-            pe_store::LogStore::open(&dir, pe_store::StoreConfig::default()).unwrap(),
+            pe_store::ShardedLogStore::open(&dir, 1, pe_store::StoreConfig::default()).unwrap(),
         );
         let server = DocsServer::with_store(store);
         assert_eq!(server.stored_content(&doc).unwrap(), "survives the crash");

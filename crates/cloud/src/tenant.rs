@@ -711,14 +711,28 @@ mod tests {
 
     #[test]
     fn records_hidden_from_document_listing_but_snapshotted() {
-        let server = DocsServer::new();
-        register(&server, "alice", &ALICE_V);
-        let created = server.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
-        assert!(created.is_success());
-        assert_eq!(server.list_documents(), vec!["doc1".to_string()]);
-        // The snapshot/restore path must still carry the records (with
-        // the verifier intact server-side, redacted on read).
-        let restored = DocsServer::restore(&server.snapshot()).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "pe-tenant-durable-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let store = pe_store::ShardedLogStore::open(&dir, 2, pe_store::StoreConfig::default())
+                .unwrap();
+            DocsServer::with_store(std::sync::Arc::new(store))
+        };
+        {
+            let server = open();
+            register(&server, "alice", &ALICE_V);
+            let created = server.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
+            assert!(created.is_success());
+            assert_eq!(server.list_documents(), vec!["doc1".to_string()]);
+        }
+        // A reopened durable store must still carry the records (with the
+        // verifier intact server-side, redacted on read).
+        let restored = open();
+        assert_eq!(restored.list_documents(), vec!["doc1".to_string()]);
         assert_eq!(get(&restored, "u/alice").status, 200);
         let verify = restored.handle(&Request::post(
             "/tenant/verify",
@@ -726,6 +740,8 @@ mod tests {
             "",
         ));
         assert_eq!(verify.body_text(), Some("ok=true"));
+        drop(restored);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

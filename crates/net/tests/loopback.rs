@@ -90,8 +90,16 @@ fn revision_history_also_survives_the_wire_identically() {
     server.shutdown();
 
     // Every stored revision matches, not just the head.
-    let direct = direct_backend.snapshot();
-    let wire = wire_backend.snapshot();
-    assert_eq!(direct, wire, "full provider state (incl. history) must match");
-    let _ = doc;
+    let listed = direct_backend.list_documents();
+    assert_eq!(listed, wire_backend.list_documents());
+    assert!(listed.contains(&doc));
+    for id in &listed {
+        assert_eq!(direct_backend.stored_content(id), wire_backend.stored_content(id), "{id}");
+        assert_eq!(direct_backend.stored_version(id), wire_backend.stored_version(id), "{id}");
+        assert_eq!(
+            direct_backend.stored_revisions(id),
+            wire_backend.stored_revisions(id),
+            "full provider state (incl. history) of {id} must match"
+        );
+    }
 }

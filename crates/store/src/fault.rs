@@ -53,7 +53,8 @@ impl CrashPoint {
     }
 }
 
-/// A one-shot, seeded crash plan for a [`crate::LogStore`].
+/// A one-shot, seeded crash plan for a [`crate::ShardedLogStore`]; each
+/// shard runs its own copy against its own append ordinals.
 ///
 /// # Example
 ///

@@ -3,8 +3,8 @@
 //! N shards keyed by a hash of the doc id, each behind its own `RwLock`,
 //! so readers (loads, spell checks, exports, admin listings) proceed
 //! concurrently while the WAL serializes writers. Both [`crate::MemStore`]
-//! and [`crate::LogStore`] are this index; the latter adds the log in
-//! front of it.
+//! and every shard of a [`crate::ShardedLogStore`] are this index; the
+//! latter adds the log in front of it.
 
 use std::collections::HashMap;
 use std::sync::Arc;

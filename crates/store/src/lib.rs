@@ -9,15 +9,17 @@
 //!   delete, meta, snapshot-marker), length-prefixed and CRC-checksummed.
 //! * [`wal`] — append-only segment files with a configurable
 //!   [`FsyncPolicy`] and torn-tail detection on replay.
-//! * [`LogStore`] — the log-structured engine: a sharded in-memory index
-//!   rebuilt by WAL replay at open, plus background snapshot + log
-//!   compaction that garbage-collects superseded segments.
+//! * [`ShardedLogStore`] — the durable store and its only on-disk
+//!   format: documents route over N independent log-structured shards
+//!   under a manifest. Each shard keeps an in-memory index rebuilt by
+//!   WAL replay at open, plus background snapshot + log compaction that
+//!   garbage-collects superseded segments.
 //! * [`MemStore`] — the old `HashMap` behaviour behind the same trait,
 //!   for tests and benchmark baselines.
 //! * [`StoreFaults`] — a seeded crash-point injector (fail-before-fsync,
 //!   fail-mid-write, truncate-tail, crash-during-snapshot) mirroring
 //!   `pe_cloud::fault`, used to prove the recovery invariant: after any
-//!   injected crash, [`LogStore::open`] recovers **exactly** the prefix
+//!   injected crash, [`ShardedLogStore::open`] recovers **exactly** the prefix
 //!   of acknowledged writes — no loss, no phantoms.
 //!
 //! The incremental-encryption design of the paper means small edits are
@@ -27,14 +29,14 @@
 //! # Example
 //!
 //! ```
-//! use pe_store::{DocStore, LogStore, StoreConfig};
+//! use pe_store::{DocStore, ShardedLogStore, StoreConfig};
 //! let dir = std::env::temp_dir().join(format!("pe-store-doc-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
-//! let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
+//! let store = ShardedLogStore::open(&dir, 2, StoreConfig::default()).unwrap();
 //! store.create("doc1").unwrap();
 //! store.put_full("doc1", b"ciphertext bytes").unwrap();
 //! drop(store); // crash or exit — the WAL has the bytes
-//! let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
+//! let store = ShardedLogStore::open(&dir, 2, StoreConfig::default()).unwrap();
 //! assert_eq!(store.content("doc1").unwrap(), b"ciphertext bytes");
 //! # drop(store);
 //! # std::fs::remove_dir_all(&dir).unwrap();
@@ -57,11 +59,9 @@ mod snapfile;
 pub mod wal;
 
 pub use fault::{CrashPoint, StoreFaults};
-pub use log::{
-    fsck, CompactionStats, FsckReport, LogStore, SegmentReport, SnapshotReport, StoreConfig,
-};
+pub use log::{CompactionStats, FsckReport, SegmentReport, SnapshotReport, StoreConfig};
 pub use mem::MemStore;
-pub use shard::{shard_dir, ShardedLogStore, MANIFEST_NAME, MAX_SHARDS};
+pub use shard::{fsck, shard_dir, ShardedLogStore, MANIFEST_NAME, MAX_SHARDS};
 pub use wal::{FsyncPolicy, GroupStats};
 
 /// The stored state of one document, as the provider sees it.
@@ -172,7 +172,7 @@ impl From<std::io::Error> for StoreError {
 /// version counter and revision history; a small `u64` metadata namespace
 /// rides along for server counters (`next_doc`, `next_session`). Every
 /// mutation is atomic with respect to concurrent callers, and on
-/// [`LogStore`] is durable according to the configured [`FsyncPolicy`]
+/// [`ShardedLogStore`] is durable according to the configured [`FsyncPolicy`]
 /// **before** the call returns — a returned `Ok` is an acknowledgement.
 pub trait DocStore: Send + Sync {
     /// Full state of a document (content, version, revisions). Copies

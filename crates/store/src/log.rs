@@ -44,10 +44,8 @@ use crate::snapfile;
 use crate::wal::{self, AppendAck, FsyncPolicy, GroupWal, SegmentWriter};
 use crate::{CrashPoint, DeltaLimits, DocState, DocStore, StoreError, StoreFaults};
 
-/// Documents plus meta entries, as one consistent cut.
-pub(crate) type SnapshotState = (Vec<(String, DocState)>, Vec<(String, u64)>);
-
-/// Configuration for [`LogStore::open`].
+/// Configuration for [`crate::ShardedLogStore::open`], applied to every
+/// shard.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// Fsync policy for WAL appends.
@@ -104,10 +102,12 @@ struct LogInner {
     faults: Option<StoreFaults>,
 }
 
-/// The durable log-structured [`DocStore`].
-pub struct LogStore {
+/// One shard's durable log-structured [`DocStore`] engine.
+pub(crate) struct LogStore {
     inner: Arc<LogInner>,
     compactor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// WAL records replayed by [`LogStore::open`].
+    replayed_records: u64,
 }
 
 impl std::fmt::Debug for LogStore {
@@ -139,8 +139,8 @@ fn scan_dir(dir: &Path) -> Result<(BTreeMap<u64, PathBuf>, Vec<u64>), StoreError
 }
 
 impl LogStore {
-    /// Opens (or creates) the store at `dir`, rebuilding the index from
-    /// the newest valid snapshot plus WAL replay.
+    /// Opens the shard at `dir`, which must already exist, rebuilding
+    /// the index from the newest valid snapshot plus WAL replay.
     ///
     /// # Errors
     ///
@@ -150,13 +150,6 @@ impl LogStore {
     /// bad frame in a sealed segment).
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<LogStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        if dir.join(crate::shard::MANIFEST_NAME).exists() {
-            return Err(StoreError::Corrupt(format!(
-                "{} is a sharded store root; open it with ShardedLogStore",
-                dir.display()
-            )));
-        }
 
         // A crash mid-compaction can leave a half-written `.tmp`; it was
         // never published, so it is dead weight.
@@ -229,14 +222,12 @@ impl LogStore {
         }
 
         let mut live_bytes = 0u64;
+        let mut replayed_records = 0u64;
         let mut tail = None; // (seq, validated length)
         let last_seq = replay.last().map(|&(seq, _)| seq);
         for (seq, path) in &replay {
-            let mut records = 0u64;
-            let stats = wal::replay_segment(path, |record| {
-                records += 1;
-                apply_record(&index, &record);
-            })?;
+            let stats = wal::replay_segment(path, |record| apply_record(&index, &record))?;
+            replayed_records += stats.records;
             pe_observe::counter("store.replay_records").add(stats.records);
             pe_observe::counter("store.recovered_bytes").add(stats.valid_bytes);
             if stats.torn_bytes > 0 && Some(*seq) != last_seq {
@@ -277,12 +268,12 @@ impl LogStore {
                 .expect("spawn compactor thread")
         });
 
-        Ok(LogStore { inner, compactor: Mutex::new(compactor) })
+        Ok(LogStore { inner, compactor: Mutex::new(compactor), replayed_records })
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
+    /// WAL records replayed when this shard was opened.
+    pub fn replayed_records(&self) -> u64 {
+        self.replayed_records
     }
 
     /// Live WAL bytes appended since the last snapshot.
@@ -340,12 +331,6 @@ impl LogStore {
     /// Lifetime group-commit counters (appends, fsyncs, batch sizes).
     pub fn group_stats(&self) -> wal::GroupStats {
         self.inner.wal.stats()
-    }
-
-    /// A point-in-time copy of every document and meta entry — the
-    /// migration source for converting a legacy store into shards.
-    pub(crate) fn snapshot_state(&self) -> SnapshotState {
-        (self.inner.index.snapshot_docs(), self.inner.index.meta_entries())
     }
 }
 
@@ -626,7 +611,7 @@ impl DocStore for LogStore {
     }
 }
 
-/// One segment's health, as seen by [`fsck`].
+/// One segment's health, as seen by [`crate::fsck`].
 #[derive(Debug, Clone)]
 pub struct SegmentReport {
     /// Segment sequence number.
@@ -639,7 +624,7 @@ pub struct SegmentReport {
     pub torn_bytes: u64,
 }
 
-/// One snapshot's health, as seen by [`fsck`].
+/// One snapshot's health, as seen by [`crate::fsck`].
 #[derive(Debug, Clone)]
 pub struct SnapshotReport {
     /// Covered segment sequence number.
@@ -657,13 +642,13 @@ pub struct FsckReport {
     pub snapshots: Vec<SnapshotReport>,
     /// Per-segment findings, oldest first.
     pub segments: Vec<SegmentReport>,
-    /// Fatal problems that would make [`LogStore::open`] refuse or lose
+    /// Fatal problems that would make the store refuse to open or lose
     /// sealed data. Empty means the store opens cleanly.
     pub errors: Vec<String>,
     /// Non-fatal notes (e.g. a recoverable torn tail).
     pub warnings: Vec<String>,
-    /// For a sharded root: one sub-report per shard (directory name,
-    /// findings). Empty for a legacy single-directory store.
+    /// For a store root: one sub-report per shard (directory name,
+    /// findings). Empty in a shard's own report.
     pub shards: Vec<(String, FsckReport)>,
 }
 
@@ -730,44 +715,10 @@ impl FsckReport {
     }
 }
 
-/// Read-only verification of a store directory: validates every
-/// snapshot's CRC and every WAL frame, without modifying anything.
-/// Understands both layouts: a legacy single-directory store is checked
-/// in place, while a sharded root (one carrying a
-/// [`crate::MANIFEST_NAME`] manifest) gets one sub-report per shard and
-/// is healthy only if every shard is.
-///
-/// # Errors
-///
-/// [`StoreError::Io`] only — validation findings land in the report, not
-/// in the error channel.
-pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
-    let dir = dir.as_ref();
-    let mut report = FsckReport::default();
-    if !dir.is_dir() {
-        report.errors.push(format!("{} is not a store directory", dir.display()));
-        return Ok(report);
-    }
-    if dir.join(crate::shard::MANIFEST_NAME).is_file() {
-        match crate::shard::read_manifest(dir) {
-            Ok(count) => {
-                for shard in 0..count {
-                    let sub = crate::shard::shard_dir(dir, shard);
-                    let name = format!("shard-{shard:03}");
-                    let shard_report = fsck_one(&sub)?;
-                    report.shards.push((name, shard_report));
-                }
-            }
-            Err(StoreError::Corrupt(msg)) => report.errors.push(msg),
-            Err(e) => return Err(e),
-        }
-        return Ok(report);
-    }
-    fsck_one(dir)
-}
-
-/// Verifies one physical store directory (a legacy root or one shard).
-fn fsck_one(dir: &Path) -> Result<FsckReport, StoreError> {
+/// Verifies one shard directory read-only: snapshot CRCs, WAL frames
+/// and segment continuity. The root-level entry point is
+/// [`crate::fsck`].
+pub(crate) fn fsck_shard(dir: &Path) -> Result<FsckReport, StoreError> {
     let mut report = FsckReport::default();
     if !dir.is_dir() {
         report.errors.push(format!("{} is not a store directory", dir.display()));
@@ -876,6 +827,7 @@ mod tests {
                 std::thread::current().id()
             ));
             let _ = std::fs::remove_dir_all(&path);
+            std::fs::create_dir_all(&path).unwrap();
             TempDir(path)
         }
     }
@@ -1004,7 +956,7 @@ mod tests {
             store.compact().unwrap();
             store.put_full("b", b"content b").unwrap();
         }
-        let report = fsck(&dir.0).unwrap();
+        let report = fsck_shard(&dir.0).unwrap();
         assert!(report.is_healthy(), "{}", report.render());
         assert_eq!(report.snapshots.len(), 1);
         assert!(report.render().contains("store healthy"));
@@ -1015,14 +967,14 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 1;
         std::fs::write(&snap, &bytes).unwrap();
-        let report = fsck(&dir.0).unwrap();
+        let report = fsck_shard(&dir.0).unwrap();
         assert!(!report.is_healthy());
         assert!(report.render().contains("STORE CORRUPT"));
     }
 
     #[test]
     fn fsck_flags_missing_directory_and_torn_tail() {
-        let missing = fsck("/nonexistent/pe-store-dir").unwrap();
+        let missing = fsck_shard(Path::new("/nonexistent/pe-store-dir")).unwrap();
         assert!(!missing.is_healthy());
 
         let dir = TempDir::new("fscktail");
@@ -1037,7 +989,7 @@ mod tests {
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 2).unwrap();
         drop(f);
-        let report = fsck(&dir.0).unwrap();
+        let report = fsck_shard(&dir.0).unwrap();
         assert!(report.is_healthy(), "torn tail is recoverable: {}", report.render());
         assert!(report.render().contains("torn tail"));
         // And open indeed recovers the prefix.

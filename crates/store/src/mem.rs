@@ -6,14 +6,14 @@ use crate::log::CompactionStats;
 use crate::{DeltaLimits, DocState, DocStore, StoreError};
 
 /// A purely in-memory [`DocStore`]. Nothing survives the process — which
-/// is exactly the property benchmarks compare [`crate::LogStore`]
-/// against.
+/// is exactly the property benchmarks compare
+/// [`crate::ShardedLogStore`] against.
 #[derive(Debug)]
 pub struct MemStore {
     index: Index,
     /// Serializes writers so the read-check-apply of a delta (and its
     /// [`DeltaLimits::base_version`] precondition) is atomic against
-    /// concurrent saves, matching [`crate::LogStore`]'s write lock.
+    /// concurrent saves, matching each log shard's write lock.
     write_lock: parking_lot::Mutex<()>,
 }
 

@@ -1,11 +1,11 @@
-//! Document-sharded storage: N independent [`LogStore`]s behind one
-//! [`DocStore`].
+//! Document-sharded storage: N independent per-shard log engines behind
+//! one [`DocStore`]. This is the only on-disk store format.
 //!
 //! ## Layout
 //!
-//! A sharded store root holds a manifest plus one subdirectory per
-//! shard, each a fully self-contained log store (own WAL segments,
-//! snapshots, index, background compactor):
+//! A store root holds a manifest plus one subdirectory per shard, each a
+//! fully self-contained log store (own WAL segments, snapshots, index,
+//! background compactor):
 //!
 //! ```text
 //! store/
@@ -19,15 +19,15 @@
 //! usually land on different WALs and different group-commit fsyncs.
 //! Meta counters live on shard 0 (they are global, not per-document).
 //!
-//! ## Legacy stores
+//! ## Initialisation
 //!
-//! A directory holding `wal-*.log`/`snap-*.snap` files directly (every
-//! store created before sharding existed) opens in *legacy mode*: one
-//! shard rooted at the directory itself, no manifest written. Migration
-//! to a sharded layout is explicit ([`ShardedLogStore::migrate`],
-//! surfaced as `pedit compact DIR --shards N`) and crash-safe: shard
-//! snapshots are published first, the manifest second, and the legacy
-//! files removed last — the manifest's existence is the commit point.
+//! The manifest is the commit point. A fresh root gets its shard
+//! directories first and the manifest last, so an interrupted init
+//! leaves only empty shard directories and simply initialises again.
+//! A root without a manifest that holds WAL segments or snapshots, at
+//! the top level or inside a shard directory, is refused with
+//! [`StoreError::Corrupt`] and left untouched. So is a manifest naming
+//! a shard directory that no longer exists: open never recreates one.
 //!
 //! ## Recovery
 //!
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use crate::index::hash_id;
-use crate::log::{CompactionStats, LogStore, StoreConfig};
+use crate::log::{fsck_shard, CompactionStats, FsckReport, LogStore, StoreConfig};
 use crate::snapfile;
 use crate::wal::{self, GroupStats};
 use crate::{DeltaLimits, DocState, DocStore, StoreError};
@@ -70,7 +70,7 @@ fn write_manifest(dir: &Path, shards: usize) -> Result<(), StoreError> {
     Ok(())
 }
 
-pub(crate) fn read_manifest(dir: &Path) -> Result<usize, StoreError> {
+fn read_manifest(dir: &Path) -> Result<usize, StoreError> {
     let text = std::fs::read_to_string(dir.join(MANIFEST_NAME))?;
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_MAGIC) {
@@ -90,18 +90,18 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<usize, StoreError> {
     Ok(shards)
 }
 
-/// Whether `dir` holds legacy single-directory store files.
-fn has_legacy_files(dir: &Path) -> Result<bool, StoreError> {
+/// The first WAL segment or snapshot file directly inside `dir`, if any.
+fn first_log_file(dir: &Path) -> Result<Option<String>, StoreError> {
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
         let Some(name) = name.to_str() else { continue };
         if wal::parse_segment_name(name).is_some()
             || snapfile::parse_snapshot_name(name).is_some()
         {
-            return Ok(true);
+            return Ok(Some(name.to_string()));
         }
     }
-    Ok(false)
+    Ok(None)
 }
 
 /// Shard subdirectories present in `dir` (sorted by index).
@@ -121,23 +121,29 @@ fn existing_shard_dirs(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
     Ok(found)
 }
 
-fn remove_legacy_files(dir: &Path) -> Result<u64, StoreError> {
-    let mut removed = 0u64;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if wal::parse_segment_name(name).is_some()
-            || snapfile::parse_snapshot_name(name).is_some()
-        {
-            std::fs::remove_file(entry.path())?;
-            removed += 1;
+/// Initialises a root that has no manifest and returns its shard count.
+/// Shard directories come first, the manifest (the commit point) last,
+/// so a crash in between leaves empty shard directories that the next
+/// init reuses. Log files anywhere in the root mean the manifest was
+/// lost, not that init never finished: refuse before writing anything.
+fn init_root(dir: &Path, shards: usize) -> Result<usize, StoreError> {
+    let mut candidates = vec![dir.to_path_buf()];
+    candidates.extend(existing_shard_dirs(dir)?);
+    for candidate in &candidates {
+        if let Some(name) = first_log_file(candidate)? {
+            return Err(StoreError::Corrupt(format!(
+                "{}: holds {name} but there is no {MANIFEST_NAME} manifest",
+                candidate.display()
+            )));
         }
     }
-    if removed > 0 {
-        wal::sync_dir(dir)?;
+    let count = shards.clamp(1, MAX_SHARDS);
+    for shard in 0..count {
+        std::fs::create_dir_all(shard_dir(dir, shard))?;
     }
-    Ok(removed)
+    wal::sync_dir(dir)?;
+    write_manifest(dir, count)?;
+    Ok(count)
 }
 
 /// Opens all shard stores in parallel, one scoped thread per shard.
@@ -167,12 +173,11 @@ fn open_shards_parallel(
         .collect()
 }
 
-/// A [`DocStore`] that routes documents across N independent
-/// [`LogStore`] shards. See the module docs for layout and semantics.
+/// A [`DocStore`] that routes documents across N independent log-store
+/// shards. See the module docs for layout and semantics.
 pub struct ShardedLogStore {
     dir: PathBuf,
     shards: Vec<LogStore>,
-    legacy: bool,
     /// Set when any shard reports an injected crash or fsync failure:
     /// a real process would have died whole, so the entire store
     /// refuses further work, not just the failed shard.
@@ -184,7 +189,6 @@ impl std::fmt::Debug for ShardedLogStore {
         f.debug_struct("ShardedLogStore")
             .field("dir", &self.dir)
             .field("shards", &self.shards.len())
-            .field("legacy", &self.legacy)
             .finish()
     }
 }
@@ -192,19 +196,18 @@ impl std::fmt::Debug for ShardedLogStore {
 impl ShardedLogStore {
     /// Opens (or creates) the store at `dir`.
     ///
-    /// - An existing sharded root (manifest present) opens with its
-    ///   recorded shard count — `shards` is ignored; routing must match
-    ///   the layout that wrote the data.
-    /// - A legacy single-directory store opens in legacy mode (one
-    ///   shard rooted at `dir` itself); see [`ShardedLogStore::migrate`].
-    /// - A fresh directory is initialized with `shards` shards
-    ///   (clamped to `1..=MAX_SHARDS`).
+    /// - A root with a manifest opens with its recorded shard count —
+    ///   `shards` is ignored; routing must match the layout that wrote
+    ///   the data.
+    /// - A fresh root (or one whose init was interrupted) is initialised
+    ///   with `shards` shards (clamped to `1..=MAX_SHARDS`).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failures, [`StoreError::Corrupt`]
-    /// on a bad manifest, shard directories with no manifest, or any
-    /// shard failing validation.
+    /// on a bad manifest, a shard directory the manifest names but that
+    /// is missing, log files in a root with no manifest, or any shard
+    /// failing validation.
     pub fn open(
         dir: impl AsRef<Path>,
         shards: usize,
@@ -214,35 +217,21 @@ impl ShardedLogStore {
         std::fs::create_dir_all(&dir)?;
         let started = Instant::now();
 
-        let store = if dir.join(MANIFEST_NAME).exists() {
+        let count = if dir.join(MANIFEST_NAME).exists() {
             let count = read_manifest(&dir)?;
-            // A crash between publishing the manifest and deleting the
-            // legacy files leaves stale duplicates; the manifest is the
-            // commit point, so finish the cleanup here.
-            remove_legacy_files(&dir)?;
-            let shards = open_shards_parallel(&dir, count, config)?;
-            ShardedLogStore { dir, shards, legacy: false, poisoned: AtomicBool::new(false) }
-        } else if has_legacy_files(&dir)? {
-            let store = LogStore::open(&dir, config)?;
-            ShardedLogStore {
-                dir,
-                shards: vec![store],
-                legacy: true,
-                poisoned: AtomicBool::new(false),
-            }
-        } else {
-            if !existing_shard_dirs(&dir)?.is_empty() {
+            if let Some(missing) = (0..count).map(|i| shard_dir(&dir, i)).find(|d| !d.is_dir()) {
                 return Err(StoreError::Corrupt(format!(
-                    "{}: shard directories present but no {MANIFEST_NAME} manifest \
-                     (interrupted migration? re-run migrate, or restore the manifest)",
-                    dir.display()
+                    "{}: the manifest names {} but it is missing",
+                    dir.display(),
+                    missing.display()
                 )));
             }
-            let count = shards.clamp(1, MAX_SHARDS);
-            write_manifest(&dir, count)?;
-            let shards = open_shards_parallel(&dir, count, config)?;
-            ShardedLogStore { dir, shards, legacy: false, poisoned: AtomicBool::new(false) }
+            count
+        } else {
+            init_root(&dir, shards)?
         };
+        let shards = open_shards_parallel(&dir, count, config)?;
+        let store = ShardedLogStore { dir, shards, poisoned: AtomicBool::new(false) };
 
         pe_observe::gauge("store.shard.count").set(store.shards.len() as u64);
         pe_observe::static_histogram!("store.shard.parallel_open_ns")
@@ -250,75 +239,14 @@ impl ShardedLogStore {
         Ok(store)
     }
 
-    /// Converts a legacy single-directory store into an `shards`-way
-    /// sharded layout, in place, and opens the result. A no-op (plain
-    /// open) when `dir` is already sharded or fresh.
-    ///
-    /// Crash-safe ordering: per-shard snapshots are published and
-    /// fsynced first, then the manifest (the commit point), then the
-    /// legacy files are deleted. A crash before the manifest leaves the
-    /// legacy store authoritative; after it, open finishes the cleanup.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] / [`StoreError::Corrupt`] from either layout.
-    pub fn migrate(
-        dir: impl AsRef<Path>,
-        shards: usize,
-        config: StoreConfig,
-    ) -> Result<ShardedLogStore, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        if dir.join(MANIFEST_NAME).exists() || !has_legacy_files(&dir)? {
-            return ShardedLogStore::open(&dir, shards, config);
-        }
-
-        // Stale shard dirs can only be debris from a migration that
-        // crashed before its manifest; the legacy files are still the
-        // truth, so start over.
-        for stale in existing_shard_dirs(&dir)? {
-            std::fs::remove_dir_all(&stale)?;
-        }
-
-        let count = shards.clamp(1, MAX_SHARDS);
-        let (docs, meta) = {
-            let legacy = LogStore::open(&dir, config)?;
-            legacy.snapshot_state()
-        };
-
-        for shard in 0..count {
-            let sub = shard_dir(&dir, shard);
-            std::fs::create_dir_all(&sub)?;
-            let own: Vec<(String, DocState)> = docs
-                .iter()
-                .filter(|(id, _)| (hash_id(id) % count as u64) as usize == shard)
-                .cloned()
-                .collect();
-            // Meta is global state; it lives on shard 0.
-            let own_meta = if shard == 0 { meta.clone() } else { Vec::new() };
-            let (tmp, _bytes) = snapfile::write_snapshot_tmp(&sub, 0, &own, &own_meta)?;
-            snapfile::publish_snapshot(&sub, &tmp, 0)?;
-        }
-        write_manifest(&dir, count)?;
-        remove_legacy_files(&dir)?;
-        pe_observe::static_counter!("store.shard.migrations").inc();
-
-        ShardedLogStore::open(&dir, count, config)
-    }
-
     /// The store root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// Number of shards (1 in legacy mode).
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether this opened as a legacy single-directory store.
-    pub fn is_legacy(&self) -> bool {
-        self.legacy
     }
 
     /// Shard index a document id routes to.
@@ -329,6 +257,14 @@ impl ShardedLogStore {
     /// Live WAL bytes across all shards.
     pub fn log_bytes(&self) -> u64 {
         self.shards.iter().map(LogStore::log_bytes).sum()
+    }
+
+    /// WAL records replayed across all shards when this store was
+    /// opened. Like [`ShardedLogStore::group_stats`], it belongs to this
+    /// store alone, so concurrent users of the global metrics registry
+    /// cannot skew it.
+    pub fn replayed_records(&self) -> u64 {
+        self.shards.iter().map(LogStore::replayed_records).sum()
     }
 
     /// Group-commit counters summed across shards (`max_batch_records`
@@ -455,4 +391,35 @@ impl DocStore for ShardedLogStore {
     fn name(&self) -> &'static str {
         "sharded-log"
     }
+}
+
+/// Read-only verification of a store root: validates the manifest, then
+/// every shard's snapshot CRCs and WAL frames, without modifying
+/// anything. The report carries one sub-report per shard and is healthy
+/// only if every shard is; a missing shard directory is an error.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] only — validation findings land in the report, not
+/// in the error channel.
+pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
+    let dir = dir.as_ref();
+    let mut report = FsckReport::default();
+    if !dir.join(MANIFEST_NAME).is_file() {
+        report
+            .errors
+            .push(format!("{} is not a store root (no {MANIFEST_NAME} manifest)", dir.display()));
+        return Ok(report);
+    }
+    match read_manifest(dir) {
+        Ok(count) => {
+            for shard in 0..count {
+                let shard_report = fsck_shard(&shard_dir(dir, shard))?;
+                report.shards.push((format!("shard-{shard:03}"), shard_report));
+            }
+        }
+        Err(StoreError::Corrupt(msg)) => report.errors.push(msg),
+        Err(e) => return Err(e),
+    }
+    Ok(report)
 }

@@ -3,7 +3,8 @@
 //! For every append-path crash point, every crash position in a scripted
 //! workload, and a spread of seeds, this test:
 //!
-//! 1. runs the workload against a [`LogStore`] armed with the fault plan,
+//! 1. runs the workload against a single-shard [`ShardedLogStore`] armed
+//!    with the fault plan,
 //!    mirroring every **acknowledged** operation into a [`MemStore`]
 //!    model;
 //! 2. when the injected crash fires, checks the store is poisoned (a
@@ -20,8 +21,8 @@
 use std::path::PathBuf;
 
 use pe_store::{
-    CrashPoint, DeltaLimits, DocStore, FsyncPolicy, LogStore, MemStore, StoreConfig,
-    StoreError, StoreFaults,
+    shard_dir, CrashPoint, DeltaLimits, DocStore, FsyncPolicy, MemStore, ShardedLogStore,
+    StoreConfig, StoreError, StoreFaults,
 };
 
 struct TempDir(PathBuf);
@@ -107,8 +108,9 @@ fn observe(store: &dyn DocStore) -> ObservedState {
 /// Runs the script against a faulted store and returns the model of the
 /// acknowledged prefix plus how many ops were acknowledged.
 fn run_faulted(dir: &std::path::Path, faults: StoreFaults, policy: FsyncPolicy) -> (MemStore, usize) {
-    let store = LogStore::open(
+    let store = ShardedLogStore::open(
         dir,
+        1,
         StoreConfig { fsync: policy, faults: Some(faults), ..StoreConfig::default() },
     )
     .expect("open armed store");
@@ -148,8 +150,8 @@ fn every_append_crash_recovers_exactly_the_acknowledged_prefix() {
                 let faults = StoreFaults::at_append(point, at, seed);
                 let (model, acked) = run_faulted(&dir.0, faults, FsyncPolicy::Always);
 
-                let recovered =
-                    LogStore::open(&dir.0, StoreConfig::default()).expect("reopen after crash");
+                let recovered = ShardedLogStore::open(&dir.0, 1, StoreConfig::default())
+                    .expect("reopen after crash");
                 assert_eq!(
                     observe(&recovered),
                     observe(&model),
@@ -171,8 +173,9 @@ fn relaxed_fsync_policies_lose_at_most_a_suffix_never_phantoms() {
         for at in [1u64, 4, 9] {
             let dir = TempDir::new(&format!("relaxed-{}-{at}", policy.label()));
             {
-                let store = LogStore::open(
+                let store = ShardedLogStore::open(
                     &dir.0,
+                    1,
                     StoreConfig {
                         fsync: policy,
                         faults: Some(StoreFaults::at_append(CrashPoint::BeforeFsync, at, 5)),
@@ -188,7 +191,7 @@ fn relaxed_fsync_policies_lose_at_most_a_suffix_never_phantoms() {
                     }
                 }
             }
-            let store = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+            let store = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
             match store.get("doc") {
                 None => {} // everything lost: an allowed (empty) prefix
                 Some(state) => {
@@ -206,8 +209,9 @@ fn relaxed_fsync_policies_lose_at_most_a_suffix_never_phantoms() {
 fn crash_before_snapshot_rename_loses_nothing() {
     let dir = TempDir::new("snap-before");
     {
-        let store = LogStore::open(
+        let store = ShardedLogStore::open(
             &dir.0,
+            1,
             StoreConfig {
                 faults: Some(StoreFaults::in_compaction(CrashPoint::SnapshotBeforeRename, 3)),
                 ..StoreConfig::default()
@@ -228,9 +232,9 @@ fn crash_before_snapshot_rename_loses_nothing() {
     for op in script() {
         apply(&model, &op).unwrap();
     }
-    let recovered = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+    let recovered = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
     assert_eq!(observe(&recovered), observe(&model));
-    let leftovers: Vec<_> = std::fs::read_dir(&dir.0)
+    let leftovers: Vec<_> = std::fs::read_dir(shard_dir(&dir.0, 0))
         .unwrap()
         .filter_map(|e| e.unwrap().file_name().into_string().ok())
         .filter(|n| n.ends_with(".tmp"))
@@ -242,8 +246,9 @@ fn crash_before_snapshot_rename_loses_nothing() {
 fn crash_after_snapshot_rename_leaves_a_recoverable_store() {
     let dir = TempDir::new("snap-after");
     {
-        let store = LogStore::open(
+        let store = ShardedLogStore::open(
             &dir.0,
+            1,
             StoreConfig {
                 faults: Some(StoreFaults::in_compaction(CrashPoint::SnapshotAfterRename, 3)),
                 ..StoreConfig::default()
@@ -261,7 +266,7 @@ fn crash_after_snapshot_rename_leaves_a_recoverable_store() {
     for op in script() {
         apply(&model, &op).unwrap();
     }
-    let recovered = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+    let recovered = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
     assert_eq!(observe(&recovered), observe(&model));
     // And the next compaction cleans up the mess for good.
     let stats = recovered.compact().expect("compaction after recovery");
@@ -283,7 +288,8 @@ fn fsck_agrees_with_open_after_every_crash_point() {
             point.name(),
             report.render()
         );
-        LogStore::open(&dir.0, StoreConfig::default()).expect("fsck healthy implies open works");
+        ShardedLogStore::open(&dir.0, 1, StoreConfig::default())
+            .expect("fsck healthy implies open works");
     }
 }
 
@@ -296,8 +302,6 @@ fn fsck_agrees_with_open_after_every_crash_point() {
 // but unsynced) and between shard fsyncs (one shard dies while others
 // already acknowledged).
 // ---------------------------------------------------------------------
-
-use pe_store::ShardedLogStore;
 
 /// Sequential script oracle over a sharded store: every crash point ×
 /// position × seed, exact-prefix recovery. The crashing shard discards

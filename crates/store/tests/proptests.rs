@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use pe_store::record::Record;
 use pe_store::wal::{self, FsyncPolicy, SegmentWriter};
-use pe_store::{CrashPoint, DocStore, LogStore, StoreConfig, StoreError, StoreFaults};
+use pe_store::{CrashPoint, DocStore, ShardedLogStore, StoreConfig, StoreError, StoreFaults};
 
 struct TempDir(PathBuf);
 
@@ -118,8 +118,9 @@ proptest! {
         let dir = TempDir::new("oracle");
         let mut acked: Vec<(String, Vec<u8>)> = Vec::new();
         {
-            let store = LogStore::open(
+            let store = ShardedLogStore::open(
                 &dir.0,
+                1,
                 StoreConfig {
                     faults: Some(StoreFaults::at_append(point, crash_at, seed)),
                     ..StoreConfig::default()
@@ -141,7 +142,7 @@ proptest! {
         for (id, content) in &acked {
             expected.insert(id.clone(), content.clone());
         }
-        let store = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+        let store = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
         let recovered: std::collections::BTreeMap<String, Vec<u8>> = store
             .list()
             .into_iter()
@@ -188,7 +189,7 @@ proptest! {
         ops in proptest::collection::vec(model_op_strategy(), 1..40),
         shards in 1usize..5,
     ) {
-        use pe_store::{MemStore, ShardedLogStore};
+        use pe_store::MemStore;
         let dir = TempDir::new("model");
         let model = MemStore::new();
         {

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pe_store::{DocStore, FsyncPolicy, LogStore, MemStore, ShardedLogStore, StoreConfig};
+use pe_store::{DocStore, FsyncPolicy, MemStore, ShardedLogStore, StoreConfig};
 
 struct CountingAlloc;
 
@@ -98,8 +98,8 @@ fn get_copies_content_not_history() {
 
     check_get("MemStore", &MemStore::new());
 
-    let log_dir = TempDir::new("log");
-    check_get("LogStore", &LogStore::open(&log_dir.0, config()).unwrap());
+    let single_dir = TempDir::new("single");
+    check_get("ShardedLogStore/1", &ShardedLogStore::open(&single_dir.0, 1, config()).unwrap());
 
     let sharded_dir = TempDir::new("sharded");
     check_get("ShardedLogStore", &ShardedLogStore::open(&sharded_dir.0, 2, config()).unwrap());

@@ -1,12 +1,11 @@
-//! Integration tests for [`ShardedLogStore`]: layout detection, routing,
-//! legacy mode, in-place migration, concurrent appenders, and sharded
+//! Integration tests for [`ShardedLogStore`]: initialisation, routing,
+//! refusal of roots it did not write, concurrent appenders, and sharded
 //! fsck.
 
 use std::path::PathBuf;
 
 use pe_store::{
-    fsck, shard_dir, DeltaLimits, DocStore, LogStore, MemStore, ShardedLogStore, StoreConfig,
-    StoreError, MANIFEST_NAME,
+    fsck, shard_dir, DocStore, ShardedLogStore, StoreConfig, StoreError, MANIFEST_NAME,
 };
 
 struct TempDir(PathBuf);
@@ -29,27 +28,11 @@ impl Drop for TempDir {
     }
 }
 
-/// Documents and metadata counters, for exact comparison.
-type ObservedState = (Vec<(String, pe_store::DocState)>, Vec<(String, u64)>);
-
-fn observe(store: &dyn DocStore) -> ObservedState {
-    let docs = store
-        .list()
-        .into_iter()
-        .map(|id| {
-            let state = store.get(&id).expect("listed doc exists");
-            (id, state)
-        })
-        .collect();
-    (docs, store.meta_entries())
-}
-
 #[test]
 fn fresh_store_writes_manifest_and_routes_documents() {
     let dir = TempDir::new("fresh");
     let store = ShardedLogStore::open(&dir.0, 4, StoreConfig::default()).unwrap();
     assert_eq!(store.shard_count(), 4);
-    assert!(!store.is_legacy());
     assert!(dir.0.join(MANIFEST_NAME).is_file());
     for shard in 0..4 {
         assert!(shard_dir(&dir.0, shard).is_dir(), "shard {shard} directory exists");
@@ -88,109 +71,75 @@ fn reopen_uses_manifest_count_and_recovers_all_shards() {
 }
 
 #[test]
-fn legacy_directory_opens_in_legacy_mode_without_migrating() {
-    let dir = TempDir::new("legacy");
-    {
-        let legacy = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
-        legacy.put_full("old-doc", b"pre-sharding bytes").unwrap();
+fn bare_wal_segment_in_root_is_refused_and_left_untouched() {
+    let dir = TempDir::new("bare-wal");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let segment = dir.0.join("wal-0000000001.log");
+    let bytes = b"log bytes written by some other tool".to_vec();
+    std::fs::write(&segment, &bytes).unwrap();
+    match ShardedLogStore::open(&dir.0, 4, StoreConfig::default()) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains(MANIFEST_NAME), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
     }
-    let store = ShardedLogStore::open(&dir.0, 8, StoreConfig::default()).unwrap();
-    assert!(store.is_legacy());
-    assert_eq!(store.shard_count(), 1);
-    assert!(!dir.0.join(MANIFEST_NAME).exists(), "plain open must not migrate");
-    assert_eq!(store.content("old-doc").unwrap(), b"pre-sharding bytes");
-    // Legacy mode is fully writable.
-    store.put_full("new-doc", b"still works").unwrap();
-    drop(store);
-    let reread = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
-    assert_eq!(reread.content("new-doc").unwrap(), b"still works");
+    assert!(!dir.0.join(MANIFEST_NAME).exists(), "no manifest may be written");
+    assert!(!shard_dir(&dir.0, 0).exists(), "no shard directory may be created");
+    assert_eq!(std::fs::read(&segment).unwrap(), bytes, "the file must be left as it was");
+    assert!(!fsck(&dir.0).unwrap().is_healthy());
 }
 
 #[test]
-fn migration_preserves_versions_revisions_and_meta_exactly() {
-    let dir = TempDir::new("migrate");
-    let model = MemStore::new();
+fn missing_shard_directory_is_refused_not_recreated() {
+    let dir = TempDir::new("missing-shard");
     {
-        let legacy = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
-        for store in [&legacy as &dyn DocStore, &model as &dyn DocStore] {
-            store.create("alpha").unwrap();
-            store.put_full("alpha", b"first").unwrap();
-            store.put_full("alpha", b"second").unwrap();
-            store.put_full("beta", b"abcdef").unwrap();
-            let delta = pe_delta::Delta::parse("=3\t-3\t+xyz").unwrap();
-            store.apply_delta("beta", &delta, DeltaLimits::none()).unwrap();
-            store.put_full("gamma", b"gone soon").unwrap();
-            store.remove("gamma").unwrap();
-            store.bump_meta("next_doc").unwrap();
-            store.set_meta("next_session", 7).unwrap();
+        let store = ShardedLogStore::open(&dir.0, 2, StoreConfig::default()).unwrap();
+        for i in 1..=6 {
+            store.put_full(&format!("doc{i}"), format!("body {i}").as_bytes()).unwrap();
         }
+        assert!((1..=6).any(|i| store.shard_for(&format!("doc{i}")) == 1));
     }
-    let migrated = ShardedLogStore::migrate(&dir.0, 4, StoreConfig::default()).unwrap();
-    assert_eq!(migrated.shard_count(), 4);
-    assert!(!migrated.is_legacy());
-    assert_eq!(observe(&migrated), observe(&model), "migration must be lossless");
-    // Legacy files are gone; the root holds only manifest + shard dirs.
-    let top: Vec<String> = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .filter_map(|e| e.unwrap().file_name().into_string().ok())
-        .filter(|n| n.ends_with(".log") || n.ends_with(".snap"))
-        .collect();
-    assert!(top.is_empty(), "legacy files must be removed: {top:?}");
-    drop(migrated);
+    let victim = shard_dir(&dir.0, 1);
+    std::fs::remove_dir_all(&victim).unwrap();
 
-    // Reopen sees the sharded layout and the same state.
-    let reopened = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
-    assert_eq!(reopened.shard_count(), 4);
-    assert_eq!(observe(&reopened), observe(&model));
-    // Migrating an already-sharded store is a plain open.
-    drop(reopened);
-    let again = ShardedLogStore::migrate(&dir.0, 8, StoreConfig::default()).unwrap();
-    assert_eq!(again.shard_count(), 4);
+    match ShardedLogStore::open(&dir.0, 2, StoreConfig::default()) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("shard-001"), "{msg}"),
+        other => panic!("expected Corrupt naming the shard, got {other:?}"),
+    }
+    assert!(!victim.exists(), "open must not recreate a missing shard");
+    let report = fsck(&dir.0).unwrap();
+    assert!(!report.is_healthy(), "{}", report.render());
+    assert!(report.render().ends_with("STORE CORRUPT"));
+    assert!(!victim.exists(), "fsck must not recreate a missing shard");
 }
 
 #[test]
-fn migration_restarts_over_stale_shard_debris() {
-    let dir = TempDir::new("debris");
-    {
-        let legacy = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
-        legacy.put_full("doc", b"authoritative").unwrap();
+fn interrupted_init_with_empty_shard_dirs_initialises() {
+    let dir = TempDir::new("interrupted-init");
+    // A crash between creating the shard directories and publishing the
+    // manifest leaves exactly this behind.
+    for shard in 0..3 {
+        std::fs::create_dir_all(shard_dir(&dir.0, shard)).unwrap();
     }
-    // Simulate a migration that crashed before publishing its manifest:
-    // a stale shard directory exists, the legacy files are still the
-    // truth.
-    std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
-    std::fs::write(shard_dir(&dir.0, 0).join("garbage"), b"half-written").unwrap();
-
-    // Plain open stays on the legacy store.
-    {
-        let store = ShardedLogStore::open(&dir.0, 4, StoreConfig::default()).unwrap();
-        assert!(store.is_legacy());
-        assert_eq!(store.content("doc").unwrap(), b"authoritative");
-    }
-    // Migration clears the debris and completes.
-    let migrated = ShardedLogStore::migrate(&dir.0, 2, StoreConfig::default()).unwrap();
-    assert_eq!(migrated.shard_count(), 2);
-    assert_eq!(migrated.content("doc").unwrap(), b"authoritative");
+    let store = ShardedLogStore::open(&dir.0, 3, StoreConfig::default()).unwrap();
+    assert_eq!(store.shard_count(), 3);
+    assert!(dir.0.join(MANIFEST_NAME).is_file());
+    store.put_full("doc", b"after the retry").unwrap();
+    drop(store);
+    let store = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
+    assert_eq!(store.content("doc").unwrap(), b"after the retry");
 }
 
 #[test]
 fn shard_dirs_without_manifest_refuse_to_open() {
     let dir = TempDir::new("no-manifest");
-    std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
+    // A shard directory holding log data means the manifest was lost;
+    // empty shard directories alone are an interrupted init (above).
+    drop(ShardedLogStore::open(&dir.0, 2, StoreConfig::default()).unwrap());
+    std::fs::remove_file(dir.0.join(MANIFEST_NAME)).unwrap();
     match ShardedLogStore::open(&dir.0, 4, StoreConfig::default()) {
         Err(StoreError::Corrupt(msg)) => assert!(msg.contains(MANIFEST_NAME), "{msg}"),
         other => panic!("expected Corrupt, got {other:?}"),
     }
-}
-
-#[test]
-fn logstore_refuses_a_sharded_root() {
-    let dir = TempDir::new("wrong-engine");
-    drop(ShardedLogStore::open(&dir.0, 2, StoreConfig::default()).unwrap());
-    match LogStore::open(&dir.0, StoreConfig::default()) {
-        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("sharded"), "{msg}"),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
+    assert!(!dir.0.join(MANIFEST_NAME).exists(), "no manifest may be written");
 }
 
 #[test]

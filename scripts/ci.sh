@@ -185,6 +185,31 @@ for row in recs:
 print(f"tenant report OK ({len(grants)} sizes, grant {lo:.1f}..{hi:.1f} us)")
 PY
 
+echo "== pedit offline store smoke (no server) =="
+# Offline commands open the same sharded store directory that serve
+# does: after create/save/show the store must carry its manifest, pass
+# fsck, and hold no plaintext in any of its bytes. A regular file at the
+# store path is not a store and must be refused.
+offline_store="$(mktemp -u)"
+offline_file="$(mktemp)"
+trap 'rm -f "$smoke_out" "$net_out" "$collab_out" "$store_out" "$tenant_out" "$offline_file"; rm -rf "$net_store" "$collab_store" "$offline_store"' EXIT
+offline() { ./target/release/pedit --store "$offline_store" "$@"; }
+odoc="$(offline create --password off-pw | sed 's/^created //')"
+offline save --doc "$odoc" --password off-pw --text "offline disk secret"
+oshown="$(offline show --doc "$odoc" --password off-pw)"
+[ "$oshown" = "offline disk secret" ] || { echo "bad offline decrypt: $oshown" >&2; exit 1; }
+[ -f "$offline_store/pe-shards" ] || { echo "offline store has no shard manifest" >&2; exit 1; }
+./target/release/pedit fsck "$offline_store" | grep -q "store healthy" \
+  || { echo "fsck failed on the offline store" >&2; exit 1; }
+if grep -r -a -q "secret" "$offline_store"; then
+  echo "plaintext leaked to the offline store" >&2; exit 1
+fi
+if ./target/release/pedit --store "$offline_file" list >/dev/null 2>&1; then
+  echo "a regular file opened as a store" >&2; exit 1
+fi
+rm -rf "$offline_store" "$offline_file"
+echo "offline store OK ($odoc)"
+
 echo "== pedit serve smoke (sharded store) =="
 # Serve a sharded store on an ephemeral port, run a mediated edit over
 # the real socket, check the decrypted result and that the wire store
