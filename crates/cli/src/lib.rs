@@ -349,6 +349,8 @@ COMMANDS:
   save    --doc ID (--password PW | --user U --passphrase P) --text TEXT
   insert  --doc ID (--password PW | --user U --passphrase P) --at N --text TEXT
   delete  --doc ID (--password PW | --user U --passphrase P) --at N --len N
+          (insert --at and delete --at/--len are byte offsets into the
+           UTF-8 text, not character counts)
   history --doc ID (--password PW | --user U --passphrase P)
   watch   --doc ID (--password PW | --user U --passphrase P)
           [--rounds N] [--wait-ms MS]

@@ -137,6 +137,17 @@ fn store_error(e: &StoreError) -> Response {
     }
 }
 
+/// Views stored bytes as text, borrowing them. `DocsServer` only stores
+/// UTF-8, so the fast validating path almost always succeeds; bytes
+/// written to the store behind its back fall back to
+/// `String::from_utf8_lossy`, whose output this always equals.
+fn stored_text(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
+}
+
 impl DocsServer {
     /// Creates a server with no documents, backed by an in-memory store.
     pub fn new() -> DocsServer {
@@ -188,7 +199,7 @@ impl DocsServer {
 
     /// Direct (test/bench) access to a document's stored content.
     pub fn stored_content(&self, doc_id: &str) -> Option<String> {
-        self.store.content(doc_id).map(|b| String::from_utf8_lossy(&b).into_owned())
+        self.store.content(doc_id).map(|b| stored_text(&b).into_owned())
     }
 
     /// Direct (test/bench) access to a document's version counter.
@@ -199,7 +210,7 @@ impl DocsServer {
     /// Direct (test/bench) access to the stored revision history.
     pub fn stored_revisions(&self, doc_id: &str) -> Option<Vec<String>> {
         self.store.get(doc_id).map(|d| {
-            d.revisions.iter().map(|r| String::from_utf8_lossy(r).into_owned()).collect()
+            d.revisions.iter().map(|r| stored_text(r).into_owned()).collect()
         })
     }
 
@@ -229,7 +240,7 @@ impl DocsServer {
                 match doc.revisions.get(i) {
                     Some(content) => Response::ok(form::encode_pairs(&[(
                         "content",
-                        String::from_utf8_lossy(content).as_ref(),
+                        stored_text(content).as_ref(),
                     )])),
                     None => Response::error(404, "no such revision"),
                 }
@@ -257,7 +268,7 @@ impl DocsServer {
         let Some(doc) = self.store.get(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&doc.content);
+        let content = stored_text(&doc.content);
         let hash = Self::content_hash(&content);
         Response::ok(form::encode_pairs(&[
             ("sessionID", session.as_str()),
@@ -323,7 +334,7 @@ impl DocsServer {
         // field stays empty on ordinary saves (the client already holds
         // the content); the hash is what collaboration coordination uses.
         // `version` is the change-stream sequence this save landed at.
-        let hash = Self::content_hash(&String::from_utf8_lossy(&stored));
+        let hash = Self::content_hash(&stored_text(&stored));
         Response::ok(form::encode_pairs(&[
             ("contentFromServer", ""),
             ("contentFromServerHash", hash.as_str()),
@@ -335,7 +346,7 @@ impl DocsServer {
         let Some(doc) = self.store.get(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&doc.content);
+        let content = stored_text(&doc.content);
         let hash = Self::content_hash(&content);
         let version = doc.version.to_string();
         // 304-style fast path for passive readers: when the caller already
@@ -718,5 +729,30 @@ mod tests {
         let second = create_doc(&server);
         assert_ne!(second, doc);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stored_text_borrows_utf8_and_matches_lossy_otherwise() {
+        let inputs =
+            [&b"PE1;plain ascii"[..], "café".as_bytes(), b"", b"ok\xffbad\xc3", b"\xe6\x97"];
+        for bytes in inputs {
+            assert_eq!(stored_text(bytes), String::from_utf8_lossy(bytes));
+        }
+        assert!(matches!(stored_text("café".as_bytes()), Cow::Borrowed("café")));
+    }
+
+    #[test]
+    fn content_bytes_written_behind_the_server_still_open_lossily() {
+        let server = DocsServer::new();
+        let doc = create_doc(&server);
+        server.store().put_full(&doc, b"ab\xffcd").unwrap();
+        let open = Request::post("/Doc", &[("docID", doc.as_str()), ("cmd", "open")], "");
+        let resp = server.handle(&open);
+        let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
+        assert_eq!(form::first_value(&pairs, "content"), Some("ab\u{FFFD}cd"));
+        assert_eq!(
+            form::first_value(&pairs, "contentHash"),
+            Some(DocsServer::content_hash("ab\u{FFFD}cd").as_str())
+        );
     }
 }

@@ -6,9 +6,12 @@
 //! method: the result is the canonical minimal three-operation delta
 //! `retain p, delete m, insert s` (with empty parts omitted).
 //!
-//! Canonicality is what makes [`Delta::canonicalize`](crate::Delta::canonicalize)
-//! an effective covert-channel countermeasure: every pair of equivalent
-//! edits maps to the same wire bytes.
+//! [`diff`] counts characters; [`diff_bytes`] computes the same splice
+//! with byte counts, the unit of the mediator's wire protocol, and is
+//! what [`Delta::canonicalize`](crate::Delta::canonicalize) uses.
+//! Canonicality is what makes canonicalization an effective
+//! covert-channel countermeasure: every pair of equivalent edits maps to
+//! the same wire bytes.
 
 use crate::ops::Delta;
 
@@ -49,6 +52,64 @@ pub fn diff_chars(old: &[char], new: &[char]) -> Delta {
     let mut builder = Delta::builder();
     builder.retain(prefix).delete(deleted).insert(&inserted);
     builder.build()
+}
+
+/// Byte-counted variant of [`diff`]: the canonical `retain p, delete m,
+/// insert s` delta transforming `old` into `new`, with `p` and `m`
+/// counted in bytes.
+///
+/// The common prefix, then the common suffix of the remainders, are
+/// found a chunk at a time on the two byte slices, and both edges are
+/// moved back to a character boundary of both strings so the inserted
+/// text is whole characters. The splice is minimal in characters as well:
+/// neither the deleted nor the inserted text can share a first or last
+/// character with the other. On ASCII text the result equals
+/// [`diff`]`(old, new)`.
+///
+/// # Example
+///
+/// ```
+/// use pe_delta::diff_bytes;
+///
+/// let delta = diff_bytes("café au lait", "cafe au lait");
+/// assert_eq!(delta.serialize(), "=3\t-2\t+e");
+/// assert_eq!(delta.apply_utf8("café au lait")?, "cafe au lait");
+/// # Ok::<(), pe_delta::DeltaError>(())
+/// ```
+pub fn diff_bytes(old: &str, new: &str) -> Delta {
+    let (a, b) = (old.as_bytes(), new.as_bytes());
+    let mut prefix = common_prefix(a, b);
+    while !(old.is_char_boundary(prefix) && new.is_char_boundary(prefix)) {
+        prefix -= 1;
+    }
+    let mut suffix = common_suffix(&a[prefix..], &b[prefix..]);
+    while !(old.is_char_boundary(old.len() - suffix) && new.is_char_boundary(new.len() - suffix)) {
+        suffix -= 1;
+    }
+    let mut builder = Delta::builder();
+    builder
+        .retain(prefix)
+        .delete(old.len() - prefix - suffix)
+        .insert(&new[prefix..new.len() - suffix]);
+    builder.build()
+}
+
+/// Bytes compared per step by [`common_prefix`] and [`common_suffix`].
+const CHUNK: usize = 32;
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let chunks = a.chunks_exact(CHUNK).zip(b.chunks_exact(CHUNK));
+    let whole = chunks.take_while(|(x, y)| x == y).count() * CHUNK;
+    whole + a[whole..].iter().zip(&b[whole..]).take_while(|(x, y)| x == y).count()
+}
+
+/// Length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let chunks = a.rchunks_exact(CHUNK).zip(b.rchunks_exact(CHUNK));
+    let whole = chunks.take_while(|(x, y)| x == y).count() * CHUNK;
+    let (a, b) = (&a[..a.len() - whole], &b[..b.len() - whole]);
+    whole + a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]
@@ -101,6 +162,36 @@ mod tests {
         check("日本語です", "日本語でした");
         check("héllo", "hello");
         check("ωμέγα", "άλφα");
+    }
+
+    fn check_bytes(old: &str, new: &str) {
+        let delta = diff_bytes(old, new);
+        assert_eq!(delta.apply_utf8(old).unwrap(), new, "diff_bytes({old:?}, {new:?})");
+    }
+
+    #[test]
+    fn byte_diff_matches_char_diff_on_ascii() {
+        for (old, new) in [("", "abc"), ("abc", ""), ("aaa", "aa"), ("abcdefg", "abuvfgw")] {
+            check_bytes(old, new);
+            assert_eq!(diff_bytes(old, new), diff(old, new));
+        }
+        // Long enough that the chunked comparison runs on both ends.
+        let old = "x".repeat(100) + "cruel" + &"y".repeat(70);
+        let new = "x".repeat(100) + "kind" + &"y".repeat(70);
+        assert_eq!(diff_bytes(&old, &new).serialize(), "=100\t-5\t+kind");
+    }
+
+    #[test]
+    fn byte_diff_edges_sit_on_char_boundaries() {
+        // é (C3 A9) and ã (C3 A3) share their lead byte: the prefix must
+        // not stop inside it.
+        assert_eq!(diff_bytes("café", "cafã").serialize(), "=3\t-2\t+ã");
+        // ¢ (C2 A2) and â (C3 A2) share their last byte: the suffix must
+        // not start inside them.
+        assert_eq!(diff_bytes("x¢y", "xây").serialize(), "=1\t-2\t+â");
+        check_bytes("日本語です", "日本語でした");
+        check_bytes("ωμέγα", "άλφα");
+        check_bytes("aé", "aéé");
     }
 
     #[test]

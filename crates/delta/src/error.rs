@@ -33,6 +33,12 @@ pub enum DeltaError {
         /// Document length.
         len: usize,
     },
+    /// A byte-counted retain or delete ended inside a multi-byte
+    /// character of the document.
+    SplitsChar {
+        /// Byte offset the operation ended at.
+        position: usize,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -50,6 +56,9 @@ impl fmt::Display for DeltaError {
                 f,
                 "operation at cursor {position} requests {requested} characters but document has {len}"
             ),
+            DeltaError::SplitsChar { position } => {
+                write!(f, "operation ends at byte {position}, inside a multi-byte character")
+            }
         }
     }
 }
@@ -68,6 +77,7 @@ mod tests {
         assert!(DeltaError::PastEnd { position: 2, requested: 5, len: 3 }
             .to_string()
             .contains("document has 3"));
+        assert!(DeltaError::SplitsChar { position: 4 }.to_string().contains("byte 4"));
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! [canonicalized](Delta::canonicalize) — the §VI-B countermeasure that
 //! squashes covert channels hidden in redundant edit sequences.
 //!
+//! Counts are characters in [`Delta::apply`] and [`diff`], and bytes in
+//! [`Delta::apply_bytes`], [`Delta::apply_utf8`], [`diff_bytes`] and
+//! [`Delta::canonicalize`]: the mediator's wire protocol counts bytes,
+//! because encryption blocks hold bytes. The two agree on ASCII text.
+//!
 //! Characters that would collide with the framing (`\t` inside inserted
 //! text, and `%`, used as the escape introducer) are percent-escaped in the
 //! serialized form; see [`Delta::serialize`].
@@ -47,7 +52,7 @@ mod invert;
 mod ops;
 mod transform;
 
-pub use diff::diff;
+pub use diff::{diff, diff_bytes};
 pub use error::DeltaError;
 pub use ops::{Delta, DeltaBuilder, DeltaOp};
 pub use transform::Side;

@@ -186,18 +186,11 @@ impl Delta {
         for op in &self.ops {
             match op {
                 DeltaOp::Retain(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
+                    let end = op_end(cursor, *n, document.len())?;
                     out.extend_from_slice(&document[cursor..end]);
                     cursor = end;
                 }
-                DeltaOp::Delete(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
-                    cursor = end;
-                }
+                DeltaOp::Delete(n) => cursor = op_end(cursor, *n, document.len())?,
                 DeltaOp::Insert(s) => out.extend(s.chars()),
             }
         }
@@ -221,22 +214,60 @@ impl Delta {
         for op in &self.ops {
             match op {
                 DeltaOp::Retain(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
+                    let end = op_end(cursor, *n, document.len())?;
                     out.extend_from_slice(&document[cursor..end]);
                     cursor = end;
                 }
-                DeltaOp::Delete(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
-                    cursor = end;
-                }
+                DeltaOp::Delete(n) => cursor = op_end(cursor, *n, document.len())?,
                 DeltaOp::Insert(s) => out.extend_from_slice(s.as_bytes()),
             }
         }
         out.extend_from_slice(&document[cursor..]);
+        Ok(out)
+    }
+
+    /// Applies this delta to text with **byte** counts, like
+    /// [`Delta::apply_bytes`], but every retain and delete must end on a
+    /// character boundary, so the result is text by construction. The
+    /// output buffer is sized once and the document is copied slice by
+    /// slice; nothing is decoded.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError::PastEnd`] as for [`Delta::apply`], and
+    /// [`DeltaError::SplitsChar`] when an operation ends inside a
+    /// multi-byte character.
+    pub fn apply_utf8(&self, document: &str) -> Result<String, DeltaError> {
+        let inserted: usize = self
+            .ops
+            .iter()
+            .map(|op| match op {
+                DeltaOp::Insert(s) => s.len(),
+                _ => 0,
+            })
+            .sum();
+        let mut out = String::with_capacity(document.len() + inserted);
+        let mut cursor = 0usize;
+        let end_at = |cursor: usize, n: usize| {
+            let end = op_end(cursor, n, document.len())?;
+            if document.is_char_boundary(end) {
+                Ok(end)
+            } else {
+                Err(DeltaError::SplitsChar { position: end })
+            }
+        };
+        for op in &self.ops {
+            match op {
+                DeltaOp::Retain(n) => {
+                    let end = end_at(cursor, *n)?;
+                    out.push_str(&document[cursor..end]);
+                    cursor = end;
+                }
+                DeltaOp::Delete(n) => cursor = end_at(cursor, *n)?,
+                DeltaOp::Insert(s) => out.push_str(s),
+            }
+        }
+        out.push_str(&document[cursor..]);
         Ok(out)
     }
 
@@ -263,7 +294,14 @@ impl Delta {
 
     /// Rewrites this delta into the canonical minimal form with respect to
     /// the document `base` it would be applied to: the result of
-    /// [`diff`](crate::diff)`(base, self.apply(base))`.
+    /// [`diff_bytes`](crate::diff_bytes)`(base, self.apply_utf8(base))`,
+    /// at most one retain, one delete and one insert.
+    ///
+    /// Counts are **bytes**, as in [`Delta::apply_bytes`] and the
+    /// mediator's ciphertext transform; on ASCII documents the result is
+    /// the char-counted [`diff`](crate::diff)`(base, self.apply(base))`.
+    /// The cost is one copy of `base` plus a chunked prefix/suffix
+    /// comparison; nothing decodes the document into characters.
     ///
     /// This is the §VI-B countermeasure against covert channels encoded in
     /// redundant operation sequences: any two deltas with the same effect
@@ -272,11 +310,21 @@ impl Delta {
     ///
     /// # Errors
     ///
-    /// Returns an error if this delta does not apply to `base`.
+    /// As for [`Delta::apply_utf8`]: the delta must fit `base` and cut it
+    /// only on character boundaries.
     pub fn canonicalize(&self, base: &str) -> Result<Delta, DeltaError> {
-        let updated = self.apply(base)?;
-        Ok(crate::diff(base, &updated))
+        let updated = self.apply_utf8(base)?;
+        Ok(crate::diff_bytes(base, &updated))
     }
+}
+
+/// End of a retain or delete of `n` units starting at `cursor` in a
+/// document of `len` units.
+fn op_end(cursor: usize, n: usize, len: usize) -> Result<usize, DeltaError> {
+    cursor
+        .checked_add(n)
+        .filter(|&end| end <= len)
+        .ok_or(DeltaError::PastEnd { position: cursor, requested: n, len })
 }
 
 impl fmt::Display for Delta {

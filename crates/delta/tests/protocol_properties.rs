@@ -3,6 +3,24 @@
 use pe_delta::{diff, Delta, DeltaOp};
 use proptest::prelude::*;
 
+/// Builds a delta against `doc` from `(kind, n, text)` triples: retains
+/// and deletes of up to `n` of the characters left, counted in **bytes**,
+/// so every count lands on a character boundary.
+fn byte_delta_on_char_boundaries(doc: &str, raw: Vec<(u8, usize, String)>) -> Delta {
+    let mut rest = doc;
+    let mut ops = Vec::new();
+    for (kind, n, text) in raw {
+        if kind % 3 == 2 {
+            ops.push(DeltaOp::Insert(text));
+            continue;
+        }
+        let bytes = rest.char_indices().nth(n).map_or(rest.len(), |(i, _)| i);
+        rest = &rest[bytes..];
+        ops.push(if kind % 3 == 0 { DeltaOp::Retain(bytes) } else { DeltaOp::Delete(bytes) });
+    }
+    Delta::from_ops(ops)
+}
+
 fn arbitrary_op() -> impl Strategy<Value = DeltaOp> {
     prop_oneof![
         (0usize..100).prop_map(DeltaOp::Retain),
@@ -100,5 +118,55 @@ proptest! {
         let via_chars = delta.apply(&doc).unwrap();
         let via_bytes = String::from_utf8(delta.apply_bytes(doc.as_bytes()).unwrap()).unwrap();
         prop_assert_eq!(via_chars, via_bytes);
+    }
+
+    /// ASCII oracle: on ASCII documents the byte-counted canonicalization
+    /// is exactly the char-counted `diff(base, delta.apply(base))`, errors
+    /// included, so the §VI-B countermeasure's wire output is unchanged.
+    #[test]
+    fn canonicalize_matches_char_diff_on_ascii(
+        doc in "[ -~]{0,200}",
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (0usize..60).prop_map(DeltaOp::Retain),
+                (0usize..60).prop_map(DeltaOp::Delete),
+                "[ -~]{0,10}".prop_map(DeltaOp::Insert),
+            ],
+            0..10,
+        ),
+    ) {
+        let delta = Delta::from_ops(ops);
+        let oracle = delta.apply(&doc).map(|updated| diff(&doc, &updated));
+        prop_assert_eq!(delta.canonicalize(&doc), oracle);
+    }
+
+    /// On any Unicode document, canonicalization yields one minimal splice
+    /// with the input's effect, and is idempotent.
+    #[test]
+    fn canonicalize_is_one_minimal_splice_on_unicode(
+        doc in "\\PC{0,80}",
+        raw in proptest::collection::vec((any::<u8>(), 0usize..10, "\\PC{0,5}"), 0..10),
+    ) {
+        let delta = byte_delta_on_char_boundaries(&doc, raw);
+        let canonical = delta.canonicalize(&doc).unwrap();
+        let (mut retain, mut delete, mut insert) = (0, 0, "");
+        for (i, op) in canonical.ops().iter().enumerate() {
+            match op {
+                DeltaOp::Retain(n) => { prop_assert_eq!(i, 0); retain = *n; }
+                DeltaOp::Delete(n) => { prop_assert_eq!(delete, 0); delete = *n; }
+                DeltaOp::Insert(s) => { prop_assert_eq!(i + 1, canonical.ops().len()); insert = s; }
+            }
+        }
+        prop_assert!(canonical.ops().len() <= 3);
+        prop_assert_eq!(
+            canonical.apply_bytes(doc.as_bytes()).unwrap(),
+            delta.apply_bytes(doc.as_bytes()).unwrap()
+        );
+        prop_assert_eq!(&canonical.canonicalize(&doc).unwrap(), &canonical);
+        let deleted = &doc[retain..retain + delete];
+        if !deleted.is_empty() && !insert.is_empty() {
+            prop_assert_ne!(deleted.chars().next(), insert.chars().next());
+            prop_assert_ne!(deleted.chars().next_back(), insert.chars().next_back());
+        }
     }
 }

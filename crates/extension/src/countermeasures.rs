@@ -8,7 +8,11 @@
 //!   client could select different sequences to encode additional
 //!   information". Rewriting every outgoing delta into the canonical
 //!   minimal form (the diff of the two document versions) destroys such
-//!   encodings; see [`pe_delta::Delta::canonicalize`].
+//!   encodings. The mediator applies the client's delta once and derives
+//!   the canonical splice from the old and new plaintext with
+//!   [`pe_delta::diff_bytes`]: counts are bytes, like the ciphertext
+//!   transform, and the cost is one copy of the document plus a chunked
+//!   prefix/suffix comparison; see [`pe_delta::Delta::canonicalize`].
 //! * **Random delays** — "we could add random delays … to every outgoing
 //!   update request" to blunt timing channels. [`suggested_delay`]
 //!   produces the delay; callers decide whether to sleep (benchmarks

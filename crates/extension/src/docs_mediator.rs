@@ -12,7 +12,7 @@ use pe_crypto::drbg::NonceSource;
 use pe_crypto::form;
 use pe_crypto::sha256::Sha256;
 use pe_crypto::{hex, CtrDrbg, SystemRandom};
-use pe_delta::{diff, Delta};
+use pe_delta::{diff, diff_bytes, Delta};
 use pe_tenant::{ServiceRecords, Session, TenantDirectory};
 
 use crate::countermeasures;
@@ -554,13 +554,7 @@ impl<S: CloudService> DocsMediator<S> {
                             detail: "ciphertext delta without cached state".into(),
                         }
                     })?;
-                    let updated =
-                        cdelta.apply_bytes(state.transformer.ciphertext().as_bytes())?;
-                    let new_cipher = String::from_utf8(updated).map_err(|_| {
-                        ExtensionError::BadResponse {
-                            detail: "foreign delta produced invalid ciphertext".into(),
-                        }
-                    })?;
+                    let new_cipher = cdelta.apply_utf8(state.transformer.ciphertext())?;
                     (state.plaintext.clone(), new_cipher)
                 };
                 let preamble = Preamble::parse(&new_cipher)?;
@@ -741,36 +735,25 @@ impl<S: CloudService> DocsMediator<S> {
                     }
                 }
                 _ => {
-                    let base = self
-                        .docs
-                        .get(doc_id)
-                        .map(|s| s.plaintext.clone())
-                        .unwrap_or_default();
-                    let updated = delta.apply_bytes(base.as_bytes())?;
-                    let updated = String::from_utf8(updated).map_err(|_| {
-                        ExtensionError::BadResponse {
-                            detail: "delta produced invalid text".into(),
-                        }
-                    })?;
+                    let base = self.docs.get(doc_id).map_or("", |s| s.plaintext.as_str());
+                    let updated = delta.apply_utf8(base)?;
                     return self.full_save(doc_id, request, &updated);
                 }
             }
         }
         let state = self.docs.get_mut(doc_id).expect("synced implies state");
         let base_version = state.version;
-        let effective = if self.config.canonicalize_deltas {
-            delta.canonicalize(&state.plaintext)?
-        } else {
-            delta.clone()
-        };
+        // Applied once, before the mirror is touched: a delta that does
+        // not fit or cuts a character fails here, leaving state intact.
+        let updated = delta.apply_utf8(&state.plaintext)?;
+        let canonical =
+            self.config.canonicalize_deltas.then(|| diff_bytes(&state.plaintext, &updated));
+        let effective = canonical.as_ref().unwrap_or(delta);
         let cdelta = {
             let _timed = pe_observe::static_histogram!("mediator.encrypt_ns").span();
-            state.transformer.transform(&effective)?
+            state.transformer.transform(effective)?
         };
-        let updated = effective.apply_bytes(state.plaintext.as_bytes())?;
-        state.plaintext = String::from_utf8(updated).map_err(|_| {
-            ExtensionError::BadResponse { detail: "delta produced invalid text".into() }
-        })?;
+        state.plaintext = updated;
         if !state.plaintext.is_empty() {
             pe_observe::static_histogram!("mediator.blowup_pct").record(
                 (state.transformer.ciphertext().len() * 100 / state.plaintext.len()) as u64,

@@ -259,6 +259,60 @@ fn delta_before_full_save_falls_back_to_full_save() {
     assert_server_never_sees(&server, &doc_id, "first words");
 }
 
+/// Opens `doc_id` through a fresh mediator, as a second reader would.
+fn reopen(server: &Arc<DocsServer>, doc_id: &str, password: &str) -> String {
+    let mut reader =
+        DocsMediator::with_rng(Arc::clone(server), MediatorConfig::recb(8), CtrDrbg::from_seed(99));
+    reader.register_password(doc_id, password);
+    reader.open_document(doc_id).unwrap()
+}
+
+/// Saves `wire` as a delta under the default (canonicalizing) config on a
+/// document holding `base`, and returns what a fresh reader opens.
+fn delta_save_non_ascii(base: &str, wire: &str, seed: u64) -> String {
+    let (server, mut mediator) = mediator(MediatorConfig::recb(8), seed);
+    let doc_id = mediator.create_document("pw").unwrap();
+    mediator.save_full(&doc_id, base).unwrap();
+    mediator.save_delta(&doc_id, &Delta::parse(wire).unwrap()).unwrap();
+    let opened = reopen(&server, &doc_id, "pw");
+    assert_eq!(mediator.plaintext(&doc_id), Some(opened.as_str()));
+    opened
+}
+
+// Delta saves count bytes on the wire; "café au lait" is 13 bytes long.
+
+#[test]
+fn non_ascii_delta_append_counts_bytes() {
+    assert_eq!(delta_save_non_ascii("café au lait", "=13\t+!", 40), "café au lait!");
+}
+
+#[test]
+fn non_ascii_delta_replaces_a_multibyte_char() {
+    assert_eq!(delta_save_non_ascii("café au lait", "=3\t-2\t+e", 41), "cafe au lait");
+}
+
+#[test]
+fn non_ascii_delta_inserts_between_multibyte_chars() {
+    // 日 and 本 are three bytes each.
+    assert_eq!(delta_save_non_ascii("日本語", "=3\t+·", 42), "日·本語");
+}
+
+#[test]
+fn delta_cutting_a_char_is_rejected_before_the_mirror_changes() {
+    let (server, mut mediator) = mediator(MediatorConfig::recb(8), 43);
+    let doc_id = mediator.create_document("pw").unwrap();
+    mediator.save_full(&doc_id, "café au lait").unwrap();
+    let before = server.stored_content(&doc_id).unwrap();
+    // Byte 4 is the second byte of "é".
+    let err = mediator.save_delta(&doc_id, &Delta::parse("=4\t-1").unwrap()).unwrap_err();
+    assert_eq!(server.stored_content(&doc_id).unwrap(), before, "nothing may be sent");
+    assert_eq!(mediator.plaintext(&doc_id), Some("café au lait"));
+    // The mirror is intact, so the next valid save still round-trips.
+    mediator.save_delta(&doc_id, &Delta::parse("+X").unwrap()).unwrap();
+    assert_eq!(reopen(&server, &doc_id, "pw"), "Xcafé au lait");
+    assert!(err.to_string().contains("byte 4"), "{err}");
+}
+
 #[test]
 fn long_editing_session_stays_consistent() {
     let (server, mut mediator) = mediator(MediatorConfig::rpc(7), 21);

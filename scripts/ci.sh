@@ -201,6 +201,14 @@ oshown="$(offline show --doc "$odoc" --password off-pw)"
 [ -f "$offline_store/pe-shards" ] || { echo "offline store has no shard manifest" >&2; exit 1; }
 ./target/release/pedit fsck "$offline_store" | grep -q "store healthy" \
   || { echo "fsck failed on the offline store" >&2; exit 1; }
+# A non-ASCII incremental edit: insert --at counts bytes, and "café
+# offline secret" is 20 bytes long.
+udoc="$(offline create --password off-pw | sed 's/^created //')"
+offline save --doc "$udoc" --password off-pw --text "café offline secret"
+offline insert --doc "$udoc" --password off-pw --at 20 --text "!"
+ushown="$(offline show --doc "$udoc" --password off-pw)"
+[ "$ushown" = "café offline secret!" ] \
+  || { echo "bad non-ASCII incremental edit: $ushown" >&2; exit 1; }
 if grep -r -a -q "secret" "$offline_store"; then
   echo "plaintext leaked to the offline store" >&2; exit 1
 fi
