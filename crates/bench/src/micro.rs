@@ -7,7 +7,7 @@ use pe_core::{
     SchemeParams,
 };
 use pe_crypto::CtrDrbg;
-use pe_delta::{diff, Delta, DeltaOp};
+use pe_delta::{diff_bytes, Delta, DeltaOp};
 
 use crate::timing::timed;
 
@@ -76,7 +76,7 @@ pub fn fig4(mode: Mode, b: usize, tests: usize, seed: u64) -> Fig4Result {
     let mut inc_chars = 0usize;
     for test in 0..tests {
         let (d, d2) = workload.micro_pair();
-        let delta = diff(&d, &d2);
+        let delta = diff_bytes(&d, &d2);
         let (doc, enc_time) = timed(|| make_doc(mode, b, d.as_bytes(), seed ^ test as u64));
         encrypt_total += enc_time.as_secs_f64();
         encrypt_chars += d.len();
@@ -125,7 +125,7 @@ pub fn fig6(doc_len: usize, tests: usize, seed: u64) -> Vec<Fig6Row> {
             let d = workload.random_string(doc_len);
             let d2_len = workload.length(100, 10_000);
             let d2 = workload.random_string(d2_len);
-            let delta = diff(&d, &d2);
+            let delta = diff_bytes(&d, &d2);
             let (doc, enc_time) =
                 timed(|| make_doc(Mode::Recb, b, d.as_bytes(), seed ^ test as u64));
             enc_total += enc_time.as_secs_f64();

@@ -796,7 +796,7 @@ fn doc_session<S: CloudService>(
             for op in &ops {
                 let delta = live_cli::op_delta(&content, op)?;
                 content = delta
-                    .apply(&content)
+                    .apply_utf8(&content)
                     .map_err(|e| CliError::Usage(format!("op does not fit document: {e}")))?;
                 mediator.save_delta(doc, &delta)?;
             }
@@ -1250,31 +1250,28 @@ mod live_cli {
         Ok(ops)
     }
 
-    /// Builds the char-based [`Delta`] an op denotes against `content`
-    /// (ops use byte offsets, deltas count characters).
+    /// Builds the [`Delta`] an op denotes against `content`. Offsets are
+    /// bytes, like every delta count; each must fall on a character
+    /// boundary of `content`.
     pub(crate) fn op_delta(content: &str, op: &EditOp) -> Result<Delta, CliError> {
-        let chars_at = |at: usize| {
-            content
-                .get(..at)
-                .map(|prefix| prefix.chars().count())
-                .ok_or_else(|| CliError::Usage(format!("offset {at} is out of range")))
-        };
         let mut builder = Delta::builder();
         match op {
             EditOp::Insert { at, text } => {
-                builder.retain(chars_at(*at)?).insert(text);
+                if !content.is_char_boundary(*at) {
+                    let detail = format!("offset {at} is out of range or inside a character");
+                    return Err(CliError::Usage(detail));
+                }
+                builder.retain(*at).insert(text);
             }
             EditOp::Delete { at, len } => {
-                let span = content
-                    .get(*at..*at + *len)
-                    .map(|s| s.chars().count())
-                    .ok_or_else(|| {
-                        CliError::Usage(format!("range {at}+{len} is out of range"))
-                    })?;
-                builder.retain(chars_at(*at)?).delete(span);
+                if content.get(*at..at.saturating_add(*len)).is_none() {
+                    let detail = format!("range {at}+{len} is out of range or cuts a character");
+                    return Err(CliError::Usage(detail));
+                }
+                builder.retain(*at).delete(*len);
             }
             EditOp::Append { text } => {
-                builder.retain(content.chars().count()).insert(text);
+                builder.retain(content.len()).insert(text);
             }
         }
         Ok(builder.build())
@@ -1363,17 +1360,8 @@ mod live_cli {
         let wait = Duration::from_millis(wait_ms);
         let mut merged = 0usize;
         for op in &ops {
-            {
-                let editor = session.client().editor();
-                match op {
-                    EditOp::Insert { at, text } => editor.insert(*at, text),
-                    EditOp::Delete { at, len } => editor.delete(*at, *len),
-                    EditOp::Append { text } => {
-                        let len = editor.len();
-                        editor.insert(len, text);
-                    }
-                }
-            }
+            let editor = session.client().editor();
+            editor.apply(op_delta(editor.content(), op)?);
             if session.save() == SaveOutcome::Conflict {
                 return Err(CliError::Net(format!("live save of {doc} failed")));
             }
@@ -1430,7 +1418,12 @@ mod stats {
 
     pub(crate) fn run_scripted_session(format: StatsFormat) -> Result<String, CliError> {
         let _guard = session_lock().lock().unwrap_or_else(|e| e.into_inner());
+        // The SHA-256 engine is chosen, and counted, once per process, so
+        // a reset would lose the count in every session but the first:
+        // choose it first, then count it again after the reset.
+        let sha256 = pe_crypto::sha256::Sha256Engine::selected();
         pe_observe::global().reset();
+        pe_observe::counter(&format!("crypto.sha256.{}", sha256.name())).inc();
 
         let bad = |detail: &str| CliError::BadStore(format!("stats session: {detail}"));
         let server = Arc::new(DocsServer::new());

@@ -86,6 +86,28 @@ fn full_lifecycle_via_cli() {
 }
 
 #[test]
+fn edit_ops_count_bytes_like_the_stored_document() {
+    let store = TempStore::new("edit-bytes");
+    let created = pedit(&store, &["create", "--password", "pw"]).unwrap();
+    let doc = created.strip_prefix("created ").unwrap().to_string();
+    pedit(&store, &["save", "--doc", &doc, "--password", "pw", "--text", "café au lait"])
+        .unwrap();
+    // Byte 6 is just after "café " (é is two bytes).
+    let edited =
+        pedit(&store, &["edit", "--doc", &doc, "--password", "pw", "--ops", "i:6:X,d:0:3"])
+            .unwrap();
+    assert_eq!(edited, "applied 2 op(s)\né Xau lait");
+    let shown = pedit(&store, &["show", "--doc", &doc, "--password", "pw"]).unwrap();
+    assert_eq!(shown, "é Xau lait");
+    // An offset inside "é" is refused before anything is saved.
+    let err = pedit(&store, &["edit", "--doc", &doc, "--password", "pw", "--ops", "i:1:Y"])
+        .unwrap_err();
+    assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    let shown = pedit(&store, &["show", "--doc", &doc, "--password", "pw"]).unwrap();
+    assert_eq!(shown, "é Xau lait");
+}
+
+#[test]
 fn wrong_password_is_rejected() {
     let store = TempStore::new("wrongpw");
     let created = pedit(&store, &["create", "--password", "right"]).unwrap();

@@ -6,7 +6,7 @@ use pe_cloud::{CloudService, Request, Response};
 use pe_crypto::form;
 use pe_crypto::hex;
 use pe_crypto::sha256::Sha256;
-use pe_delta::{diff, Delta, Side};
+use pe_delta::{diff_bytes, Delta, Side};
 use pe_extension::{DocsMediator, ExtensionError};
 
 use crate::editor::Editor;
@@ -193,10 +193,9 @@ impl<C: Channel> DocsClient<C> {
     /// point (the stream and the session disagree about the base — the
     /// caller should fall back to a full resync).
     pub fn apply_foreign_delta(&mut self, foreign: &Delta) -> Result<(), pe_delta::DeltaError> {
-        let new_synced = foreign.apply(&self.synced)?;
-        let local = diff(&self.synced, self.editor.content());
-        let base_len = self.synced.chars().count();
-        let rebased = local.transform(foreign, base_len, Side::Right)?;
+        let new_synced = foreign.apply_utf8(&self.synced)?;
+        let local = diff_bytes(&self.synced, self.editor.content());
+        let rebased = local.transform(foreign, self.synced.len(), Side::Right)?;
         pe_observe::static_counter!("client.foreign_deltas").inc();
         self.editor.reset(&new_synced);
         if !rebased.is_identity() {
@@ -226,18 +225,17 @@ impl<C: Channel> DocsClient<C> {
         if server_content == self.synced {
             return;
         }
-        let local = diff(&self.synced, self.editor.content());
-        let foreign = diff(&self.synced, server_content);
-        let base_len = self.synced.chars().count();
+        let local = diff_bytes(&self.synced, self.editor.content());
+        let foreign = diff_bytes(&self.synced, server_content);
         pe_observe::static_counter!("client.merges").inc();
-        let rebased = match local.transform(&foreign, base_len, Side::Right) {
+        let rebased = match local.transform(&foreign, self.synced.len(), Side::Right) {
             Ok(rebased) => rebased,
             // Transform of two well-formed deltas over their common base
             // cannot fail; defensively drop local edits rather than
             // diverging from the server.
             Err(_) => {
                 pe_observe::static_counter!("client.merge_transform_failures").inc();
-                diff(server_content, server_content)
+                Delta::new()
             }
         };
         self.editor.reset(server_content);
@@ -351,13 +349,13 @@ impl<C: Channel> DocsClient<C> {
             // between the sync point and the current buffer. (A previous
             // failed attempt may have drained the editor's pending state;
             // the canonical diff recovers it.)
-            let local = diff(&self.synced, self.editor.content());
+            let local = diff_bytes(&self.synced, self.editor.content());
             if server_content != self.synced {
                 // Rebase local intent over the concurrent foreign changes.
                 pe_observe::static_counter!("client.merges").inc();
-                let foreign = diff(&self.synced, &server_content);
-                let base_len = self.synced.chars().count();
-                let Ok(rebased) = local.transform(&foreign, base_len, Side::Right) else {
+                let foreign = diff_bytes(&self.synced, &server_content);
+                let Ok(rebased) = local.transform(&foreign, self.synced.len(), Side::Right)
+                else {
                     return SaveOutcome::Conflict;
                 };
                 self.editor.reset(&server_content);
@@ -584,7 +582,7 @@ mod tests {
         assert_eq!(other.save(), SaveOutcome::Saved);
         // …while this client holds a pending local edit on the old base.
         client.editor().insert(11, " +local");
-        let foreign = diff("shared base", "SHARED base");
+        let foreign = diff_bytes("shared base", "SHARED base");
         client.apply_foreign_delta(&foreign).unwrap();
         assert_eq!(client.content(), "SHARED base +local");
         // Saving after the merge converges without conflict.
@@ -601,10 +599,49 @@ mod tests {
         client.editor().insert(0, "abc");
         assert_eq!(client.save(), SaveOutcome::Saved);
         // A delta built against a much longer document cannot apply.
-        let foreign = diff("a much longer base document", "a much longer base documentX");
+        let foreign = diff_bytes("a much longer base document", "a much longer base documentX");
         assert!(client.apply_foreign_delta(&foreign).is_err());
         // State is untouched — the caller resyncs instead.
         assert_eq!(client.content(), "abc");
+    }
+
+    #[test]
+    fn foreign_delta_rebases_over_a_non_ascii_sync_point() {
+        let server = Arc::new(DocsServer::new());
+        let doc_id = new_doc(&server);
+        let mut client =
+            DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        client.editor().insert(0, "café base");
+        assert_eq!(client.save(), SaveOutcome::Saved);
+        let mut other =
+            DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        other.editor().insert(0, "X");
+        assert_eq!(other.save(), SaveOutcome::Saved);
+        // "café base" is 10 bytes: the local edit appends.
+        client.editor().insert(10, "!");
+        client.apply_foreign_delta(&Delta::parse("+X").unwrap()).unwrap();
+        assert_eq!(client.content(), "Xcafé base!");
+        assert_eq!(client.save(), SaveOutcome::Saved);
+        assert_eq!(server.stored_content(&doc_id).unwrap(), "Xcafé base!");
+    }
+
+    #[test]
+    fn merge_server_content_over_a_non_ascii_sync_point() {
+        let server = Arc::new(DocsServer::new());
+        let doc_id = new_doc(&server);
+        let mut client =
+            DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        client.editor().insert(0, "café base");
+        assert_eq!(client.save(), SaveOutcome::Saved);
+        let mut other =
+            DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        other.editor().replace(0, "café".len(), "CAFÉ");
+        assert_eq!(other.save(), SaveOutcome::Saved);
+        client.editor().insert(10, " tail");
+        client.merge_server_content("CAFÉ base");
+        assert_eq!(client.content(), "CAFÉ base tail");
+        assert_eq!(client.save(), SaveOutcome::Saved);
+        assert_eq!(server.stored_content(&doc_id).unwrap(), "CAFÉ base tail");
     }
 
     #[test]

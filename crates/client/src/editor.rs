@@ -1,15 +1,14 @@
 //! The local editor buffer: user edits in, protocol deltas out.
 
-use pe_delta::Delta;
+use pe_delta::{Delta, DeltaError};
 
 /// A plaintext editing buffer that accumulates edits into a pending
 /// [`Delta`] — the shape of the client-side state the Google Documents
 /// client keeps between autosaves (§IV-A: "update deltas are periodically
 /// sent back to the server").
 ///
-/// All positions and lengths are **byte** offsets; the simulated protocol
-/// counts bytes (ASCII documents make this identical to character
-/// counts).
+/// All positions and lengths are **byte** offsets, the unit of every
+/// delta; an edit must start and end on character boundaries.
 #[derive(Debug, Clone)]
 pub struct Editor {
     content: String,
@@ -93,16 +92,10 @@ impl Editor {
     ///
     /// # Panics
     ///
-    /// Panics if the delta does not fit the current content.
+    /// Panics if the delta does not fit the current content or ends an
+    /// operation inside a character.
     pub fn apply(&mut self, delta: Delta) {
-        let inverse = delta
-            .invert(&self.content)
-            .expect("editor edits are validated against the buffer");
-        let updated = delta
-            .apply_bytes(self.content.as_bytes())
-            .expect("editor edits are validated against the buffer");
-        self.content = String::from_utf8(updated).expect("edits preserve UTF-8");
-        self.pending = self.pending.compose(&delta);
+        let inverse = self.edit(&delta).expect("editor edits are validated against the buffer");
         self.undo.push(inverse);
         self.redo.clear();
     }
@@ -114,14 +107,8 @@ impl Editor {
         let Some(inverse) = self.undo.pop() else {
             return false;
         };
-        let redo = inverse
-            .invert(&self.content)
-            .expect("inverses always fit the buffer they were made for");
-        let updated = inverse
-            .apply_bytes(self.content.as_bytes())
-            .expect("inverses always fit the buffer they were made for");
-        self.content = String::from_utf8(updated).expect("edits preserve UTF-8");
-        self.pending = self.pending.compose(&inverse);
+        let redo =
+            self.edit(&inverse).expect("inverses always fit the buffer they were made for");
         self.redo.push(redo);
         true
     }
@@ -131,13 +118,19 @@ impl Editor {
         let Some(delta) = self.redo.pop() else {
             return false;
         };
-        let inverse = delta.invert(&self.content).expect("redo fits the buffer");
-        let updated =
-            delta.apply_bytes(self.content.as_bytes()).expect("redo fits the buffer");
-        self.content = String::from_utf8(updated).expect("edits preserve UTF-8");
-        self.pending = self.pending.compose(&delta);
+        let inverse = self.edit(&delta).expect("redo fits the buffer");
         self.undo.push(inverse);
         true
+    }
+
+    /// Applies `delta` to the buffer and folds it into the pending
+    /// update, returning its inverse. Nothing changes on error.
+    fn edit(&mut self, delta: &Delta) -> Result<Delta, DeltaError> {
+        let inverse = delta.invert(&self.content)?;
+        let content = delta.apply_utf8(&self.content)?;
+        self.pending = self.pending.compose(delta)?;
+        self.content = content;
+        Ok(inverse)
     }
 
     /// Number of edits currently undoable.
@@ -177,7 +170,7 @@ mod tests {
         editor.insert(editor.len(), "w");
         assert_eq!(editor.content(), "abuvfgw");
         let delta = editor.take_pending();
-        assert_eq!(delta.apply("abcdefg").unwrap(), "abuvfgw");
+        assert_eq!(delta.apply_utf8("abcdefg").unwrap(), "abuvfgw");
         assert!(!editor.has_pending());
     }
 
@@ -188,7 +181,7 @@ mod tests {
         editor.insert(0, "ab");
         editor.replace(5, 2, "XY");
         let delta = editor.take_pending();
-        assert_eq!(delta.apply("0123456789").unwrap(), editor.content());
+        assert_eq!(delta.apply_utf8("0123456789").unwrap(), editor.content());
     }
 
     #[test]
@@ -222,7 +215,7 @@ mod tests {
         assert_eq!(editor.content(), "abcdefg");
         // The undo is itself an edit: the pending delta is net identity.
         let pending = editor.take_pending();
-        assert_eq!(pending.apply("abcdefg").unwrap(), "abcdefg");
+        assert_eq!(pending.apply_utf8("abcdefg").unwrap(), "abcdefg");
         assert!(!editor.undo(), "stack exhausted");
     }
 
@@ -255,7 +248,7 @@ mod tests {
         assert!(!editor.redo(), "redo stack exhausted");
         // Round trip is a net no-op for the protocol.
         let pending = editor.take_pending();
-        assert_eq!(pending.apply("base").unwrap(), "base one two");
+        assert_eq!(pending.apply_utf8("base").unwrap(), "base one two");
     }
 
     #[test]
@@ -275,6 +268,28 @@ mod tests {
         editor.insert(1, "y");
         editor.reset("fresh");
         assert!(!editor.undo());
+    }
+
+    #[test]
+    fn non_ascii_edits_undo_and_redo_by_bytes() {
+        let mut editor = Editor::new("日本");
+        editor.insert(6, "x");
+        editor.replace(3, 3, "é");
+        assert_eq!(editor.content(), "日éx");
+        assert!(editor.undo());
+        assert_eq!(editor.content(), "日本x");
+        assert!(editor.undo());
+        assert_eq!(editor.content(), "日本");
+        assert!(editor.redo());
+        assert!(editor.redo());
+        assert_eq!(editor.content(), "日éx");
+        assert_eq!(editor.take_pending().apply_utf8("日本").unwrap(), "日éx");
+    }
+
+    #[test]
+    #[should_panic(expected = "validated against the buffer")]
+    fn edit_inside_a_char_panics() {
+        Editor::new("日本").insert(1, "x");
     }
 
     #[test]

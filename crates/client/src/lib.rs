@@ -25,7 +25,7 @@
 //! editor.insert(5, ", dear");
 //! editor.delete(0, 1);
 //! let delta = editor.take_pending();
-//! assert_eq!(delta.apply("hello world").unwrap(), editor.content());
+//! assert_eq!(delta.apply_utf8("hello world").unwrap(), editor.content());
 //! ```
 
 #![forbid(unsafe_code)]

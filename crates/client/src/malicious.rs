@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn self_replace_is_outcome_neutral() {
         let delta = self_replace_bit("covert target", true);
-        assert_eq!(delta.apply("covert target").unwrap(), "covert target");
+        assert_eq!(delta.apply_utf8("covert target").unwrap(), "covert target");
         assert!(!delta.is_identity(), "the wire form must differ from identity");
         assert!(self_replace_bit("covert target", false).is_identity());
         assert!(self_replace_bit("", true).is_identity());
@@ -156,6 +156,6 @@ mod tests {
     fn encoded_delta_appends_invisible_content() {
         let channel = LengthChannel::new();
         let delta = channel.encode(3);
-        assert_eq!(delta.apply("doc").unwrap(), "    doc");
+        assert_eq!(delta.apply_utf8("doc").unwrap(), "    doc");
     }
 }

@@ -5,7 +5,7 @@
 //! * **Micro** (§VII-B): "Each test case is a pair of strings (D, D′).
 //!   The strings D and D′ are chosen randomly with length uniformly
 //!   distributed between 100 and 10000." The delta transforming D into D′
-//!   is derived with [`pe_delta::diff`].
+//!   is derived with [`pe_delta::diff_bytes`].
 //! * **Macro** (§VII-C): "a whole document save followed by either
 //!   replacing an existing sentence with a different one or inserting or
 //!   deleting an arbitrary sentence or group of sentences", on small

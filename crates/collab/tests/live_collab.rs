@@ -383,38 +383,56 @@ mod convergence_proptest {
     use proptest::prelude::*;
 
     /// Applies one scripted edit to a session's editor. Positions are
-    /// taken modulo the buffer so every script is valid.
+    /// taken modulo the buffer and snapped down to a character boundary
+    /// (offsets are bytes), so every script is valid on any text.
     fn apply_edit(session: &mut InProcSession, kind: u8, pos: u8, ch: char) {
-        let len = session.content().len();
+        let content = session.content().to_string();
+        let len = content.len();
+        let snap = |at: usize| (0..=at).rev().find(|&i| content.is_char_boundary(i)).unwrap();
         match kind % 3 {
             0 => {
-                let at = pos as usize % (len + 1);
+                let at = snap(pos as usize % (len + 1));
                 let text: String = std::iter::repeat_n(ch, 1 + (pos as usize % 3)).collect();
                 session.client().editor().insert(at, &text);
             }
             1 if len > 0 => {
-                let at = pos as usize % len;
-                let n = (1 + pos as usize % 4).min(len - at);
+                let at = snap(pos as usize % len);
+                let chars = content[at..].chars().take(1 + pos as usize % 4);
+                let n = chars.map(char::len_utf8).sum();
                 session.client().editor().delete(at, n);
             }
             _ => {
-                let at = pos as usize % (len + 1);
+                let at = snap(pos as usize % (len + 1));
                 session.client().editor().insert(at, &ch.to_string());
             }
         }
+    }
+
+    /// An editor's characters: half from an ASCII range, half from a
+    /// two-byte one.
+    fn alphabet(ascii: (char, char), wide: (char, char)) -> impl Strategy<Value = char> {
+        prop_oneof![
+            proptest::char::range(ascii.0, ascii.1),
+            proptest::char::range(wide.0, wide.1),
+        ]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Collab-level TP1: two live sessions making arbitrary
-        /// interleaved edits, saves, and polls always converge.
+        /// interleaved edits, saves, and polls always converge, on ASCII
+        /// and multi-byte text alike.
         #[test]
         fn two_live_sessions_always_converge(
             script_a in proptest::collection::vec(
-                (any::<u8>(), any::<u8>(), proptest::char::range('a', 'f'), any::<bool>()), 1..12),
+                (any::<u8>(), any::<u8>(), alphabet(('a', 'f'), ('à', 'å')), any::<bool>()),
+                1..12,
+            ),
             script_b in proptest::collection::vec(
-                (any::<u8>(), any::<u8>(), proptest::char::range('p', 'u'), any::<bool>()), 1..12),
+                (any::<u8>(), any::<u8>(), alphabet(('p', 'u'), ('α', 'ε')), any::<bool>()),
+                1..12,
+            ),
         ) {
             let live = LiveDocs::new(Arc::new(DocsServer::new()));
             let doc = create_doc(&*live);

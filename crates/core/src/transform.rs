@@ -63,7 +63,7 @@ pub fn update_wire_len(patches: &[CipherPatch], layout: Layout) -> usize {
 ///
 /// // The paper's example delta: "=2 -3 +uv =2 +w" turns abcdefg into abuvfgw.
 /// let cdelta = transformer.transform(&Delta::parse("=2\t-3\t+uv\t=2\t+w")?)?;
-/// assert_eq!(cdelta.apply(&before)?, transformer.ciphertext());
+/// assert_eq!(cdelta.apply_utf8(&before)?, transformer.ciphertext());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -139,7 +139,7 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
             let patches = self.doc.apply(&edit)?;
             let cdelta = patches_to_delta(&patches, layout);
             self.ciphertext = wire::apply_patches(&self.ciphertext, layout, &patches)?;
-            combined = combined.compose(&cdelta);
+            combined = combined.compose(&cdelta)?;
         }
         debug_assert_eq!(self.ciphertext, self.doc.serialize());
         Ok(combined)
@@ -197,7 +197,7 @@ mod tests {
         let before = t.ciphertext().to_string();
         let cdelta = t.transform(&Delta::parse("=2\t-5").unwrap()).unwrap();
         assert_eq!(t.doc().decrypt().unwrap(), b"ab");
-        assert_eq!(cdelta.apply(&before).unwrap(), t.ciphertext());
+        assert_eq!(cdelta.apply_utf8(&before).unwrap(), t.ciphertext());
     }
 
     #[test]
@@ -207,7 +207,7 @@ mod tests {
         for wire_delta in ["=4\t+slow and ", "-3\t+A", "=10\t-5", "+>>\t=3\t-1"] {
             let delta = Delta::parse(wire_delta).unwrap();
             let cdelta = t.transform(&delta).unwrap();
-            server = cdelta.apply(&server).unwrap();
+            server = cdelta.apply_utf8(&server).unwrap();
             assert_eq!(server, t.ciphertext(), "after {wire_delta:?}");
         }
         // Plaintext model must match too.
@@ -225,7 +225,7 @@ mod tests {
         for wire_delta in ["=9\t-10\t+XYZ", "+prefix ", "=20\t+mid", "-6"] {
             let delta = Delta::parse(wire_delta).unwrap();
             let cdelta = t.transform(&delta).unwrap();
-            server = cdelta.apply(&server).unwrap();
+            server = cdelta.apply_utf8(&server).unwrap();
             assert_eq!(server, t.ciphertext(), "after {wire_delta:?}");
         }
         // Server-held ciphertext must verify and decrypt.
@@ -239,7 +239,7 @@ mod tests {
         let before = t.ciphertext().to_string();
         let cdelta = t.transform(&Delta::parse("=2\t-3\t+uv\t=2\t+w").unwrap()).unwrap();
         assert_eq!(t.doc().decrypt().unwrap(), b"abuvfgw");
-        assert_eq!(cdelta.apply(&before).unwrap(), t.ciphertext());
+        assert_eq!(cdelta.apply_utf8(&before).unwrap(), t.ciphertext());
     }
 
     #[test]

@@ -6,136 +6,97 @@
 //! group of delta updates and merging them into a canonical form before
 //! sending an update to the server").
 
-use std::collections::VecDeque;
-
-use crate::ops::{Delta, DeltaOp};
+use crate::error::DeltaError;
+use crate::ops::{Delta, OpCursor, Piece};
 
 impl Delta {
     /// Composes `self` followed by `other` into one delta such that for
     /// every document `d` where the two-step application succeeds,
-    /// `self.compose(&other).apply(d) == other.apply(self.apply(d))`.
+    /// `self.compose(&other)?.apply_utf8(d) == other.apply_utf8(&self.apply_utf8(d)?)`.
     ///
-    /// Composition is total: operations of `other` that reach past
-    /// `self`'s explicit output operate on the implicitly-retained tail
-    /// and pass through unchanged. Whether the composed delta fits a
-    /// particular document is still checked at [`Delta::apply`] time.
-    pub fn compose(&self, other: &Delta) -> Delta {
-        let mut a: VecDeque<DeltaOp> = self.ops().to_vec().into();
-        let mut b: VecDeque<DeltaOp> = other.ops().to_vec().into();
+    /// Operations of `other` that reach past `self`'s explicit output
+    /// operate on the implicitly-retained tail and pass through unchanged.
+    /// Whether the composed delta fits a particular document is still
+    /// checked when it is applied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeltaError::SplitsChar`] when an operation of `other`
+    /// ends inside a multi-byte character that `self` inserts; the
+    /// position is the byte offset in the document between the two.
+    pub fn compose(&self, other: &Delta) -> Result<Delta, DeltaError> {
+        let (mut a, mut b) = (OpCursor::new(self), OpCursor::new(other));
         let mut out = Delta::builder();
+        // Byte offset in the document `self` produces and `other` edits.
+        let mut mid = 0usize;
         loop {
-            // Deletions in `a` affect the original document regardless of
-            // what `b` does afterwards.
-            if let Some(DeltaOp::Delete(n)) = a.front() {
-                out.delete(*n);
-                a.pop_front();
-                continue;
-            }
-            // Insertions in `b` are independent of `a`'s output.
-            if let Some(DeltaOp::Insert(s)) = b.front() {
-                out.insert(s);
-                b.pop_front();
-                continue;
-            }
-            match (a.pop_front(), b.pop_front()) {
+            match (a.peek(), b.peek()) {
+                // Deletions in `self` affect the original document
+                // regardless of what `other` does afterwards.
+                (Some(Piece::Delete(n)), _) => {
+                    out.delete(n);
+                    a.next();
+                }
+                // Insertions in `other` are independent of `self`'s output.
+                (_, Some(Piece::Insert(s))) => {
+                    out.insert(s);
+                    b.next();
+                }
                 (None, None) => break,
-                // `a` exhausted: the rest of `b` operates on the implicit
-                // tail of the original document.
-                (None, Some(op)) => {
-                    push_op(&mut out, &op);
-                    while let Some(op) = b.pop_front() {
-                        push_op(&mut out, &op);
+                // `self` exhausted: the rest of `other` operates on the
+                // implicit tail of the original document.
+                (None, Some(_)) => {
+                    while let Some(piece) = b.next() {
+                        out.push(piece);
                     }
-                    break;
                 }
-                // `b` exhausted: it implicitly retains everything `a`
-                // produces.
-                (Some(op), None) => {
-                    push_op(&mut out, &op);
-                    while let Some(op) = a.pop_front() {
-                        push_op(&mut out, &op);
+                // `other` exhausted: it implicitly retains everything
+                // `self` produces.
+                (Some(_), None) => {
+                    while let Some(piece) = a.next() {
+                        out.push(piece);
                     }
-                    break;
                 }
-                (Some(DeltaOp::Retain(n)), Some(DeltaOp::Retain(m))) => {
-                    let take = n.min(m);
-                    out.retain(take);
-                    requeue_count(&mut a, DeltaOp::Retain(n - take));
-                    requeue_count(&mut b, DeltaOp::Retain(m - take));
-                }
-                (Some(DeltaOp::Retain(n)), Some(DeltaOp::Delete(m))) => {
-                    let take = n.min(m);
-                    out.delete(take);
-                    requeue_count(&mut a, DeltaOp::Retain(n - take));
-                    requeue_count(&mut b, DeltaOp::Delete(m - take));
-                }
-                (Some(DeltaOp::Insert(s)), Some(DeltaOp::Retain(m))) => {
-                    let chars: Vec<char> = s.chars().collect();
-                    let take = chars.len().min(m);
-                    let kept: String = chars[..take].iter().collect();
-                    out.insert(&kept);
-                    let rest: String = chars[take..].iter().collect();
-                    if !rest.is_empty() {
-                        a.push_front(DeltaOp::Insert(rest));
+                // `self` produces bytes (retained or inserted) that
+                // `other` retains or deletes.
+                (Some(produced), Some(edit)) => {
+                    let n = produced.len().min(edit.len());
+                    if let Piece::Insert(s) = produced {
+                        if !s.is_char_boundary(n) {
+                            return Err(DeltaError::SplitsChar { position: mid + n });
+                        }
                     }
-                    requeue_count(&mut b, DeltaOp::Retain(m - take));
-                }
-                (Some(DeltaOp::Insert(s)), Some(DeltaOp::Delete(m))) => {
-                    let chars: Vec<char> = s.chars().collect();
-                    let take = chars.len().min(m);
-                    let rest: String = chars[take..].iter().collect();
-                    if !rest.is_empty() {
-                        a.push_front(DeltaOp::Insert(rest));
+                    mid += n;
+                    match (a.take(n), b.take(n)) {
+                        (Some(piece), Some(Piece::Retain(_))) => {
+                            out.push(piece);
+                        }
+                        (Some(Piece::Retain(_)), Some(Piece::Delete(_))) => {
+                            out.delete(n);
+                        }
+                        // A deleted insert never reaches the output.
+                        _ => {}
                     }
-                    requeue_count(&mut b, DeltaOp::Delete(m - take));
-                }
-                // Unreachable: deletes in `a` and inserts in `b` were
-                // drained above.
-                (Some(DeltaOp::Delete(_)), _) | (_, Some(DeltaOp::Insert(_))) => {
-                    unreachable!("drained before the match")
                 }
             }
         }
-        out.build()
-    }
-}
-
-/// Pushes an op onto the builder preserving its kind.
-fn push_op(out: &mut crate::ops::DeltaBuilder, op: &DeltaOp) {
-    match op {
-        DeltaOp::Retain(n) => {
-            out.retain(*n);
-        }
-        DeltaOp::Delete(n) => {
-            out.delete(*n);
-        }
-        DeltaOp::Insert(s) => {
-            out.insert(s);
-        }
-    }
-}
-
-/// Puts the remainder of a partially-consumed counting op back on the
-/// queue front (dropping empty remainders).
-fn requeue_count(queue: &mut VecDeque<DeltaOp>, op: DeltaOp) {
-    let empty = matches!(&op, DeltaOp::Retain(0) | DeltaOp::Delete(0));
-    if !empty {
-        queue.push_front(op);
+        Ok(out.build())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::byte_delta_on_char_boundaries;
     use proptest::prelude::*;
 
     fn compose_check(doc: &str, a: &str, b: &str) {
         let da = Delta::parse(a).unwrap();
         let db = Delta::parse(b).unwrap();
-        let two_step = db.apply(&da.apply(doc).unwrap()).unwrap();
-        let composed = da.compose(&db);
+        let two_step = db.apply_utf8(&da.apply_utf8(doc).unwrap()).unwrap();
+        let composed = da.compose(&db).unwrap();
         assert_eq!(
-            composed.apply(doc).unwrap(),
+            composed.apply_utf8(doc).unwrap(),
             two_step,
             "compose({a:?}, {b:?}) on {doc:?} → {composed:?}"
         );
@@ -148,14 +109,22 @@ mod tests {
         compose_check("hello", "", "=1\t+i");
         compose_check("hello", "+abc", "");
         compose_check("hello", "-5", "+bye");
-        compose_check("hello", "+抹茶", "=1\t-1");
+        compose_check("hello", "+抹茶", "=3\t-3");
+        compose_check("日本語", "=3\t+é", "=5\t-3\t+x");
+    }
+
+    #[test]
+    fn compose_rejects_a_cut_through_an_inserted_char() {
+        let a = Delta::parse("=2\t+抹茶").unwrap();
+        let b = Delta::parse("=3\t-1").unwrap();
+        assert_eq!(a.compose(&b), Err(DeltaError::SplitsChar { position: 3 }));
     }
 
     #[test]
     fn compose_insert_then_delete_cancels() {
         let a = Delta::parse("+abc").unwrap();
         let b = Delta::parse("-3").unwrap();
-        let composed = a.compose(&b);
+        let composed = a.compose(&b).unwrap();
         assert!(composed.is_identity(), "got {composed:?}");
     }
 
@@ -171,71 +140,47 @@ mod tests {
     fn identity_composes_neutrally() {
         let d = Delta::parse("=2\t+xy\t-1").unwrap();
         let id = Delta::new();
-        assert_eq!(id.compose(&d).normalized(), d.normalized());
-        assert_eq!(d.compose(&id).normalized(), d.normalized());
+        assert_eq!(id.compose(&d).unwrap().normalized(), d.normalized());
+        assert_eq!(d.compose(&id).unwrap().normalized(), d.normalized());
     }
 
-    /// Builds a random valid delta for a document of length `len` from a
-    /// bag of raw choices.
-    fn build_delta(len: usize, raw: &[(u8, u8)]) -> Delta {
-        let mut remaining = len;
-        let mut builder = Delta::builder();
-        for &(kind, amount) in raw {
-            let amount = amount as usize;
-            match kind % 3 {
-                0 => {
-                    let take = amount.min(remaining);
-                    builder.retain(take);
-                    remaining -= take;
-                }
-                1 => {
-                    let take = amount.min(remaining);
-                    builder.delete(take);
-                    remaining -= take;
-                }
-                _ => {
-                    let text: String =
-                        std::iter::repeat_n('i', amount % 5).collect();
-                    builder.insert(&text);
-                }
-            }
-        }
-        builder.build()
+    fn raw_ops() -> impl Strategy<Value = Vec<(u8, usize, String)>> {
+        proptest::collection::vec((any::<u8>(), 0usize..7, "\\PC{0,4}"), 0..8)
     }
 
     proptest! {
-        /// compose(a, b).apply(d) == b.apply(a.apply(d)) for arbitrary
-        /// valid deltas.
+        /// compose(a, b).apply_utf8(d) == b.apply_utf8(a.apply_utf8(d))
+        /// for arbitrary valid deltas on any text.
         #[test]
         fn compose_equals_sequential_application(
-            doc in "[a-d]{0,40}",
-            raw_a in proptest::collection::vec((0u8..=255, 0u8..=6), 0..8),
-            raw_b in proptest::collection::vec((0u8..=255, 0u8..=6), 0..8),
+            doc in "\\PC{0,40}",
+            raw_a in raw_ops(),
+            raw_b in raw_ops(),
         ) {
-            let a = build_delta(doc.chars().count(), &raw_a);
-            let mid = a.apply(&doc).unwrap();
-            let b = build_delta(mid.chars().count(), &raw_b);
-            let two_step = b.apply(&mid).unwrap();
-            let composed = a.compose(&b);
-            prop_assert_eq!(composed.apply(&doc).unwrap(), two_step);
+            let a = byte_delta_on_char_boundaries(&doc, raw_a);
+            let mid = a.apply_utf8(&doc).unwrap();
+            let b = byte_delta_on_char_boundaries(&mid, raw_b);
+            let two_step = b.apply_utf8(&mid).unwrap();
+            let composed = a.compose(&b).unwrap();
+            prop_assert_eq!(composed.apply_utf8(&doc).unwrap(), two_step);
         }
 
         /// Composition is associative in effect.
         #[test]
         fn compose_is_associative_in_effect(
-            doc in "[a-c]{0,30}",
-            raw_a in proptest::collection::vec((0u8..=255, 0u8..=5), 0..6),
-            raw_b in proptest::collection::vec((0u8..=255, 0u8..=5), 0..6),
-            raw_c in proptest::collection::vec((0u8..=255, 0u8..=5), 0..6),
+            doc in "\\PC{0,30}",
+            raw_a in raw_ops(),
+            raw_b in raw_ops(),
+            raw_c in raw_ops(),
         ) {
-            let a = build_delta(doc.chars().count(), &raw_a);
-            let d1 = a.apply(&doc).unwrap();
-            let b = build_delta(d1.chars().count(), &raw_b);
-            let d2 = b.apply(&d1).unwrap();
-            let c = build_delta(d2.chars().count(), &raw_c);
-            let left = a.compose(&b).compose(&c);
-            let right = a.compose(&b.compose(&c));
-            prop_assert_eq!(left.apply(&doc).unwrap(), right.apply(&doc).unwrap());
+            let a = byte_delta_on_char_boundaries(&doc, raw_a);
+            let d1 = a.apply_utf8(&doc).unwrap();
+            let b = byte_delta_on_char_boundaries(&d1, raw_b);
+            let d2 = b.apply_utf8(&d1).unwrap();
+            let c = byte_delta_on_char_boundaries(&d2, raw_c);
+            let left = a.compose(&b).unwrap().compose(&c).unwrap();
+            let right = a.compose(&b.compose(&c).unwrap()).unwrap();
+            prop_assert_eq!(left.apply_utf8(&doc).unwrap(), right.apply_utf8(&doc).unwrap());
         }
     }
 }

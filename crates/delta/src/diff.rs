@@ -4,67 +4,25 @@
 //! `(D, D′)`, "a delta string … such that it transforms D to D′". This
 //! module provides that derivation using the common-prefix/common-suffix
 //! method: the result is the canonical minimal three-operation delta
-//! `retain p, delete m, insert s` (with empty parts omitted).
+//! `retain p, delete m, insert s` (with empty parts omitted), counted in
+//! bytes like every delta.
 //!
-//! [`diff`] counts characters; [`diff_bytes`] computes the same splice
-//! with byte counts, the unit of the mediator's wire protocol, and is
-//! what [`Delta::canonicalize`](crate::Delta::canonicalize) uses.
+//! [`Delta::canonicalize`](crate::Delta::canonicalize) is built on it.
 //! Canonicality is what makes canonicalization an effective
 //! covert-channel countermeasure: every pair of equivalent edits maps to
 //! the same wire bytes.
 
 use crate::ops::Delta;
 
-/// Computes the canonical delta transforming `old` into `new`.
-///
-/// # Example
-///
-/// ```
-/// use pe_delta::diff;
-///
-/// let delta = diff("abcdefg", "abuvfgw");
-/// assert_eq!(delta.apply("abcdefg")?, "abuvfgw");
-/// # Ok::<(), pe_delta::DeltaError>(())
-/// ```
-pub fn diff(old: &str, new: &str) -> Delta {
-    let old_chars: Vec<char> = old.chars().collect();
-    let new_chars: Vec<char> = new.chars().collect();
-    diff_chars(&old_chars, &new_chars)
-}
-
-/// Character-buffer variant of [`diff`].
-pub fn diff_chars(old: &[char], new: &[char]) -> Delta {
-    // Longest common prefix.
-    let mut prefix = 0;
-    while prefix < old.len() && prefix < new.len() && old[prefix] == new[prefix] {
-        prefix += 1;
-    }
-    // Longest common suffix of the remainders (must not overlap prefix).
-    let mut suffix = 0;
-    while suffix < old.len() - prefix
-        && suffix < new.len() - prefix
-        && old[old.len() - 1 - suffix] == new[new.len() - 1 - suffix]
-    {
-        suffix += 1;
-    }
-    let deleted = old.len() - prefix - suffix;
-    let inserted: String = new[prefix..new.len() - suffix].iter().collect();
-    let mut builder = Delta::builder();
-    builder.retain(prefix).delete(deleted).insert(&inserted);
-    builder.build()
-}
-
-/// Byte-counted variant of [`diff`]: the canonical `retain p, delete m,
-/// insert s` delta transforming `old` into `new`, with `p` and `m`
-/// counted in bytes.
+/// Computes the canonical delta transforming `old` into `new`: `retain
+/// p, delete m, insert s`, with `p` and `m` counted in bytes.
 ///
 /// The common prefix, then the common suffix of the remainders, are
 /// found a chunk at a time on the two byte slices, and both edges are
 /// moved back to a character boundary of both strings so the inserted
 /// text is whole characters. The splice is minimal in characters as well:
 /// neither the deleted nor the inserted text can share a first or last
-/// character with the other. On ASCII text the result equals
-/// [`diff`]`(old, new)`.
+/// character with the other.
 ///
 /// # Example
 ///
@@ -117,13 +75,13 @@ mod tests {
     use super::*;
 
     fn check(old: &str, new: &str) {
-        let delta = diff(old, new);
-        assert_eq!(delta.apply(old).unwrap(), new, "diff({old:?}, {new:?})");
+        let delta = diff_bytes(old, new);
+        assert_eq!(delta.apply_utf8(old).unwrap(), new, "diff_bytes({old:?}, {new:?})");
     }
 
     #[test]
     fn identical_documents_give_identity() {
-        let delta = diff("same", "same");
+        let delta = diff_bytes("same", "same");
         assert!(delta.is_identity());
         assert_eq!(delta.serialize(), "");
     }
@@ -153,7 +111,7 @@ mod tests {
 
     #[test]
     fn middle_replacement_is_minimal() {
-        let delta = diff("hello cruel world", "hello kind world");
+        let delta = diff_bytes("hello cruel world", "hello kind world");
         assert_eq!(delta.serialize(), "=6\t-5\t+kind");
     }
 
@@ -162,18 +120,18 @@ mod tests {
         check("日本語です", "日本語でした");
         check("héllo", "hello");
         check("ωμέγα", "άλφα");
-    }
-
-    fn check_bytes(old: &str, new: &str) {
-        let delta = diff_bytes(old, new);
-        assert_eq!(delta.apply_utf8(old).unwrap(), new, "diff_bytes({old:?}, {new:?})");
+        check("aé", "aéé");
     }
 
     #[test]
-    fn byte_diff_matches_char_diff_on_ascii() {
-        for (old, new) in [("", "abc"), ("abc", ""), ("aaa", "aa"), ("abcdefg", "abuvfgw")] {
-            check_bytes(old, new);
-            assert_eq!(diff_bytes(old, new), diff(old, new));
+    fn byte_diff_is_minimal_on_ascii() {
+        for (old, new, wire) in [
+            ("", "abc", "+abc"),
+            ("abc", "", "-3"),
+            ("aaa", "aa", "=2\t-1"),
+            ("abcdefg", "abuvfgw", "=2\t-5\t+uvfgw"),
+        ] {
+            assert_eq!(diff_bytes(old, new).serialize(), wire, "diff_bytes({old:?}, {new:?})");
         }
         // Long enough that the chunked comparison runs on both ends.
         let old = "x".repeat(100) + "cruel" + &"y".repeat(70);
@@ -189,15 +147,13 @@ mod tests {
         // ¢ (C2 A2) and â (C3 A2) share their last byte: the suffix must
         // not start inside them.
         assert_eq!(diff_bytes("x¢y", "xây").serialize(), "=1\t-2\t+â");
-        check_bytes("日本語です", "日本語でした");
-        check_bytes("ωμέγα", "άλφα");
-        check_bytes("aé", "aéé");
     }
 
     #[test]
     fn randomized_roundtrips() {
         // Deterministic pseudo-random pairs, mirroring §VII-B's workload
-        // at small scale.
+        // at small scale, over an alphabet of 1-, 2- and 3-byte chars.
+        const ALPHABET: [char; 6] = ['a', 'b', 'c', 'd', 'é', '日'];
         let mut state = 42u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -206,8 +162,8 @@ mod tests {
         for _ in 0..200 {
             let len_a = (next() % 50) as usize;
             let len_b = (next() % 50) as usize;
-            let a: String = (0..len_a).map(|_| (b'a' + (next() % 4) as u8) as char).collect();
-            let b: String = (0..len_b).map(|_| (b'a' + (next() % 4) as u8) as char).collect();
+            let a: String = (0..len_a).map(|_| ALPHABET[(next() % 6) as usize]).collect();
+            let b: String = (0..len_b).map(|_| ALPHABET[(next() % 6) as usize]).collect();
             check(&a, &b);
         }
     }

@@ -26,15 +26,15 @@ pub enum DeltaError {
     },
     /// A retain or delete ran past the end of the document.
     PastEnd {
-        /// Cursor position when the operation was attempted.
+        /// Cursor position (bytes) when the operation was attempted.
         position: usize,
-        /// Number of characters the operation asked for.
+        /// Number of bytes the operation asked for.
         requested: usize,
-        /// Document length.
+        /// Document length in bytes.
         len: usize,
     },
-    /// A byte-counted retain or delete ended inside a multi-byte
-    /// character of the document.
+    /// A retain or delete, or a split of inserted text, ended inside a
+    /// multi-byte character.
     SplitsChar {
         /// Byte offset the operation ended at.
         position: usize,
@@ -54,7 +54,7 @@ impl fmt::Display for DeltaError {
             }
             DeltaError::PastEnd { position, requested, len } => write!(
                 f,
-                "operation at cursor {position} requests {requested} characters but document has {len}"
+                "operation at byte {position} requests {requested} bytes but document has {len}"
             ),
             DeltaError::SplitsChar { position } => {
                 write!(f, "operation ends at byte {position}, inside a multi-byte character")

@@ -2,21 +2,23 @@
 //!
 //! Editors need undo; the protocol layer supports it by inverting a delta
 //! *with respect to the document it was applied to*: `d.invert(base)`
-//! produces the delta that transforms `d.apply(base)` back into `base`.
-//! Inversion needs the base document because a delete destroys
+//! produces the delta that transforms `d.apply_utf8(base)` back into
+//! `base`. Inversion needs the base document because a delete destroys
 //! information (the deleted text) that only the base can supply.
 
 use crate::error::DeltaError;
-use crate::ops::{Delta, DeltaOp};
+use crate::ops::{text_end, Delta, DeltaOp};
 
 impl Delta {
     /// Computes the inverse of this delta with respect to `base`: applying
-    /// the result to `self.apply(base)` yields `base` again.
+    /// the result to `self.apply_utf8(base)` yields `base` again. Only the
+    /// deleted text is copied out of `base`.
     ///
     /// # Errors
     ///
-    /// Returns [`DeltaError::PastEnd`] when this delta does not fit
-    /// `base`.
+    /// As for [`Delta::apply_utf8`]: [`DeltaError::PastEnd`] when this
+    /// delta does not fit `base`, and [`DeltaError::SplitsChar`] when it
+    /// cuts a multi-byte character of `base`.
     ///
     /// # Example
     ///
@@ -24,45 +26,28 @@ impl Delta {
     /// use pe_delta::Delta;
     ///
     /// let edit = Delta::parse("=2\t-3\t+uv")?;
-    /// let edited = edit.apply("abcdefg")?;          // "abuvfg" + implicit tail
+    /// let edited = edit.apply_utf8("abcdefg")?;     // "abuvfg" + implicit tail
     /// let undo = edit.invert("abcdefg")?;
-    /// assert_eq!(undo.apply(&edited)?, "abcdefg");
+    /// assert_eq!(undo.apply_utf8(&edited)?, "abcdefg");
     /// # Ok::<(), pe_delta::DeltaError>(())
     /// ```
     pub fn invert(&self, base: &str) -> Result<Delta, DeltaError> {
-        let chars: Vec<char> = base.chars().collect();
-        let mut cursor = 0usize; // position in base
+        let mut cursor = 0usize; // byte offset in base
         let mut inverse = Delta::builder();
         for op in self.ops() {
             match op {
                 DeltaOp::Retain(n) => {
-                    let end =
-                        cursor.checked_add(*n).filter(|&e| e <= chars.len()).ok_or(
-                            DeltaError::PastEnd {
-                                position: cursor,
-                                requested: *n,
-                                len: chars.len(),
-                            },
-                        )?;
+                    cursor = text_end(base, cursor, *n)?;
                     inverse.retain(*n);
-                    cursor = end;
                 }
+                // Inserted text is deleted by the inverse.
                 DeltaOp::Insert(s) => {
-                    // Inserted text is deleted by the inverse.
-                    inverse.delete(s.chars().count());
+                    inverse.delete(s.len());
                 }
+                // Deleted text is re-inserted by the inverse.
                 DeltaOp::Delete(n) => {
-                    let end =
-                        cursor.checked_add(*n).filter(|&e| e <= chars.len()).ok_or(
-                            DeltaError::PastEnd {
-                                position: cursor,
-                                requested: *n,
-                                len: chars.len(),
-                            },
-                        )?;
-                    // Deleted text is re-inserted by the inverse.
-                    let restored: String = chars[cursor..end].iter().collect();
-                    inverse.insert(&restored);
+                    let end = text_end(base, cursor, *n)?;
+                    inverse.insert(&base[cursor..end]);
                     cursor = end;
                 }
             }
@@ -74,13 +59,14 @@ impl Delta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::byte_delta_on_char_boundaries;
     use proptest::prelude::*;
 
     fn check(base: &str, wire: &str) {
         let delta = Delta::parse(wire).unwrap();
-        let edited = delta.apply(base).unwrap();
+        let edited = delta.apply_utf8(base).unwrap();
         let inverse = delta.invert(base).unwrap();
-        assert_eq!(inverse.apply(&edited).unwrap(), base, "invert({wire:?}) on {base:?}");
+        assert_eq!(inverse.apply_utf8(&edited).unwrap(), base, "invert({wire:?}) on {base:?}");
     }
 
     #[test]
@@ -100,7 +86,9 @@ mod tests {
 
     #[test]
     fn unicode_restores() {
-        check("日本語です", "=1\t-2\t+ABC");
+        check("日本語です", "=3\t-6\t+ABC");
+        check("日本", "=6\t+x");
+        check("café", "=3\t-2\t+é!");
     }
 
     #[test]
@@ -110,35 +98,35 @@ mod tests {
     }
 
     #[test]
+    fn invert_rejects_a_cut_through_a_char() {
+        let delta = Delta::parse("=1\t-1").unwrap();
+        assert_eq!(delta.invert("日本"), Err(DeltaError::SplitsChar { position: 1 }));
+        let delta = Delta::parse("=3\t-1").unwrap();
+        assert_eq!(delta.invert("日本"), Err(DeltaError::SplitsChar { position: 4 }));
+    }
+
+    #[test]
     fn double_inversion_restores_effect() {
         let base = "double inversion test";
         let delta = Delta::parse("=7\t-9\t+X").unwrap();
-        let edited = delta.apply(base).unwrap();
+        let edited = delta.apply_utf8(base).unwrap();
         let inverse = delta.invert(base).unwrap();
         let double = inverse.invert(&edited).unwrap();
-        assert_eq!(double.apply(base).unwrap(), edited);
+        assert_eq!(double.apply_utf8(base).unwrap(), edited);
     }
 
     proptest! {
-        /// invert is a true left inverse for arbitrary valid deltas.
+        /// invert is a true left inverse for arbitrary valid deltas on
+        /// any text.
         #[test]
         fn inversion_law(
-            base in "[a-f ]{0,60}",
-            raw in proptest::collection::vec((any::<u8>(), 0usize..12, "[x-z]{0,6}"), 0..10),
+            base in "\\PC{0,60}",
+            raw in proptest::collection::vec((any::<u8>(), 0usize..12, "\\PC{0,6}"), 0..10),
         ) {
-            let mut remaining = base.chars().count();
-            let mut builder = Delta::builder();
-            for (kind, n, text) in raw {
-                match kind % 3 {
-                    0 => { let t = n.min(remaining); remaining -= t; builder.retain(t); }
-                    1 => { let t = n.min(remaining); remaining -= t; builder.delete(t); }
-                    _ => { builder.insert(&text); }
-                }
-            }
-            let delta = builder.build();
-            let edited = delta.apply(&base).unwrap();
+            let delta = byte_delta_on_char_boundaries(&base, raw);
+            let edited = delta.apply_utf8(&base).unwrap();
             let inverse = delta.invert(&base).unwrap();
-            prop_assert_eq!(inverse.apply(&edited).unwrap(), base);
+            prop_assert_eq!(inverse.apply_utf8(&edited).unwrap(), base);
         }
     }
 }

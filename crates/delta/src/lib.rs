@@ -9,24 +9,29 @@
 //! one-dimensional string with an imaginary cursor starting at position 0,
 //! and a *delta* is a tab-separated sequence of operations:
 //!
-//! * `=num` — move the cursor forward `num` characters (retain),
+//! * `=num` — move the cursor forward `num` units (retain),
 //! * `+str` — insert `str` at the cursor and advance past it,
-//! * `-num` — delete `num` characters starting at the cursor.
+//! * `-num` — delete `num` units starting at the cursor.
 //!
 //! The paper's examples: applying `=2	-5` to `abcdefg` yields `ab`, and
 //! `=2	-3	+uv	=2	+w` yields `abuvfgw`.
 //!
 //! This crate implements the protocol: [`Delta`] values can be
 //! [parsed](Delta::parse), [serialized](Delta::serialize),
-//! [applied](Delta::apply) to documents, [composed](Delta::compose),
-//! [derived from two document versions](diff), and
+//! [applied](Delta::apply_utf8) to documents, [composed](Delta::compose),
+//! [inverted](Delta::invert), [transformed](Delta::transform),
+//! [derived from two document versions](diff_bytes), and
 //! [canonicalized](Delta::canonicalize) — the §VI-B countermeasure that
 //! squashes covert channels hidden in redundant edit sequences.
 //!
-//! Counts are characters in [`Delta::apply`] and [`diff`], and bytes in
-//! [`Delta::apply_bytes`], [`Delta::apply_utf8`], [`diff_bytes`] and
-//! [`Delta::canonicalize`]: the mediator's wire protocol counts bytes,
-//! because encryption blocks hold bytes. The two agree on ASCII text.
+//! The unit is the **byte** of UTF-8 text, everywhere: the mediator's
+//! wire protocol counts bytes, because encryption blocks hold bytes, and
+//! the editor, the collaborative rebase and the ciphertext transform
+//! share that one unit. On ASCII text a byte is a character. Text
+//! operations ([`Delta::apply_utf8`], [`Delta::invert`],
+//! [`Delta::compose`]) refuse a count that ends inside a multi-byte
+//! character with [`DeltaError::SplitsChar`]; [`Delta::apply_bytes`]
+//! applies to raw bytes that need not be text.
 //!
 //! Characters that would collide with the framing (`\t` inside inserted
 //! text, and `%`, used as the escape introducer) are percent-escaped in the
@@ -38,7 +43,7 @@
 //! use pe_delta::Delta;
 //!
 //! let delta = Delta::parse("=2\t-3\t+uv\t=2\t+w")?;
-//! assert_eq!(delta.apply("abcdefg")?, "abuvfgw");
+//! assert_eq!(delta.apply_utf8("abcdefg")?, "abuvfgw");
 //! # Ok::<(), pe_delta::DeltaError>(())
 //! ```
 
@@ -52,7 +57,11 @@ mod invert;
 mod ops;
 mod transform;
 
-pub use diff::{diff, diff_bytes};
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
+pub use diff::diff_bytes;
 pub use error::DeltaError;
 pub use ops::{Delta, DeltaBuilder, DeltaOp};
 pub use transform::Side;

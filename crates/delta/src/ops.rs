@@ -5,19 +5,20 @@ use std::str::FromStr;
 
 use crate::error::DeltaError;
 
-/// One operation of a delta (§IV-A of the paper).
+/// One operation of a delta (§IV-A of the paper). Counts are **bytes**
+/// of UTF-8 text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DeltaOp {
-    /// `=num`: move the cursor forward `num` characters.
+    /// `=num`: move the cursor forward `num` bytes.
     Retain(usize),
     /// `+str`: insert the string at the cursor and advance past it.
     Insert(String),
-    /// `-num`: delete `num` characters starting at the cursor.
+    /// `-num`: delete `num` bytes starting at the cursor.
     Delete(usize),
 }
 
 impl DeltaOp {
-    /// Number of characters of the *input* document this op consumes.
+    /// Number of bytes of the *input* document this op consumes.
     pub fn input_len(&self) -> usize {
         match self {
             DeltaOp::Retain(n) | DeltaOp::Delete(n) => *n,
@@ -25,11 +26,11 @@ impl DeltaOp {
         }
     }
 
-    /// Number of characters this op contributes to the *output* document.
+    /// Number of bytes this op contributes to the *output* document.
     pub fn output_len(&self) -> usize {
         match self {
             DeltaOp::Retain(n) => *n,
-            DeltaOp::Insert(s) => s.chars().count(),
+            DeltaOp::Insert(s) => s.len(),
             DeltaOp::Delete(_) => 0,
         }
     }
@@ -51,7 +52,7 @@ impl DeltaOp {
 /// use pe_delta::{Delta, DeltaOp};
 ///
 /// let delta = Delta::from_ops(vec![DeltaOp::Retain(2), DeltaOp::Delete(5)]);
-/// assert_eq!(delta.apply("abcdefg")?, "ab");
+/// assert_eq!(delta.apply_utf8("abcdefg")?, "ab");
 /// # Ok::<(), pe_delta::DeltaError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -89,17 +90,17 @@ impl Delta {
         self.ops.iter().all(|op| matches!(op, DeltaOp::Retain(_)))
     }
 
-    /// Minimum number of characters the input document must have.
+    /// Minimum number of bytes the input document must have.
     pub fn input_len(&self) -> usize {
         self.ops.iter().map(DeltaOp::input_len).sum()
     }
 
-    /// Net change in document length caused by this delta.
+    /// Net change in document length, in bytes, caused by this delta.
     pub fn len_change(&self) -> isize {
         self.ops
             .iter()
             .map(|op| match op {
-                DeltaOp::Insert(s) => s.chars().count() as isize,
+                DeltaOp::Insert(s) => s.len() as isize,
                 DeltaOp::Delete(n) => -(*n as isize),
                 DeltaOp::Retain(_) => 0,
             })
@@ -160,54 +161,15 @@ impl Delta {
         out
     }
 
-    /// Applies this delta to `document`, returning the updated document.
-    ///
-    /// Content beyond the last consumed position is implicitly retained.
+    /// Applies this delta to a byte buffer, inserting the UTF-8 bytes of
+    /// inserted text: the form for raw stored ciphertext, which is not
+    /// checked to be text. Content beyond the last consumed position is
+    /// implicitly retained.
     ///
     /// # Errors
     ///
     /// Returns [`DeltaError::PastEnd`] when a retain or delete runs past
     /// the end of the document.
-    pub fn apply(&self, document: &str) -> Result<String, DeltaError> {
-        let chars: Vec<char> = document.chars().collect();
-        let out = self.apply_chars(&chars)?;
-        Ok(out.into_iter().collect())
-    }
-
-    /// Applies this delta to a character buffer (the form used internally
-    /// by the encryption layer, which tracks documents as `Vec<char>`).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Delta::apply`].
-    pub fn apply_chars(&self, document: &[char]) -> Result<Vec<char>, DeltaError> {
-        let mut out = Vec::with_capacity(document.len());
-        let mut cursor = 0usize;
-        for op in &self.ops {
-            match op {
-                DeltaOp::Retain(n) => {
-                    let end = op_end(cursor, *n, document.len())?;
-                    out.extend_from_slice(&document[cursor..end]);
-                    cursor = end;
-                }
-                DeltaOp::Delete(n) => cursor = op_end(cursor, *n, document.len())?,
-                DeltaOp::Insert(s) => out.extend(s.chars()),
-            }
-        }
-        out.extend_from_slice(&document[cursor..]);
-        Ok(out)
-    }
-
-    /// Applies this delta to a byte buffer, interpreting all counts as
-    /// **byte** counts and inserting the UTF-8 bytes of inserted text.
-    ///
-    /// The private-editing mediator operates on the byte level (encryption
-    /// blocks hold bytes), so its wire protocol counts bytes; for ASCII
-    /// documents this coincides with [`Delta::apply`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Delta::apply`].
     pub fn apply_bytes(&self, document: &[u8]) -> Result<Vec<u8>, DeltaError> {
         let mut out = Vec::with_capacity(document.len());
         let mut cursor = 0usize;
@@ -226,15 +188,15 @@ impl Delta {
         Ok(out)
     }
 
-    /// Applies this delta to text with **byte** counts, like
-    /// [`Delta::apply_bytes`], but every retain and delete must end on a
-    /// character boundary, so the result is text by construction. The
-    /// output buffer is sized once and the document is copied slice by
-    /// slice; nothing is decoded.
+    /// Applies this delta to `document`, returning the updated document.
+    /// Like [`Delta::apply_bytes`], but every retain and delete must end
+    /// on a character boundary, so the result is text by construction.
+    /// The output buffer is sized once and the document is copied slice
+    /// by slice; nothing is decoded.
     ///
     /// # Errors
     ///
-    /// [`DeltaError::PastEnd`] as for [`Delta::apply`], and
+    /// [`DeltaError::PastEnd`] as for [`Delta::apply_bytes`], and
     /// [`DeltaError::SplitsChar`] when an operation ends inside a
     /// multi-byte character.
     pub fn apply_utf8(&self, document: &str) -> Result<String, DeltaError> {
@@ -248,22 +210,14 @@ impl Delta {
             .sum();
         let mut out = String::with_capacity(document.len() + inserted);
         let mut cursor = 0usize;
-        let end_at = |cursor: usize, n: usize| {
-            let end = op_end(cursor, n, document.len())?;
-            if document.is_char_boundary(end) {
-                Ok(end)
-            } else {
-                Err(DeltaError::SplitsChar { position: end })
-            }
-        };
         for op in &self.ops {
             match op {
                 DeltaOp::Retain(n) => {
-                    let end = end_at(cursor, *n)?;
+                    let end = text_end(document, cursor, *n)?;
                     out.push_str(&document[cursor..end]);
                     cursor = end;
                 }
-                DeltaOp::Delete(n) => cursor = end_at(cursor, *n)?,
+                DeltaOp::Delete(n) => cursor = text_end(document, cursor, *n)?,
                 DeltaOp::Insert(s) => out.push_str(s),
             }
         }
@@ -277,17 +231,7 @@ impl Delta {
     pub fn normalized(&self) -> Delta {
         let mut builder = DeltaBuilder::new();
         for op in &self.ops {
-            match op {
-                DeltaOp::Retain(n) => {
-                    builder.retain(*n);
-                }
-                DeltaOp::Delete(n) => {
-                    builder.delete(*n);
-                }
-                DeltaOp::Insert(s) => {
-                    builder.insert(s);
-                }
-            }
+            builder.push(Piece::of(op));
         }
         builder.build()
     }
@@ -297,9 +241,6 @@ impl Delta {
     /// [`diff_bytes`](crate::diff_bytes)`(base, self.apply_utf8(base))`,
     /// at most one retain, one delete and one insert.
     ///
-    /// Counts are **bytes**, as in [`Delta::apply_bytes`] and the
-    /// mediator's ciphertext transform; on ASCII documents the result is
-    /// the char-counted [`diff`](crate::diff)`(base, self.apply(base))`.
     /// The cost is one copy of `base` plus a chunked prefix/suffix
     /// comparison; nothing decodes the document into characters.
     ///
@@ -318,13 +259,98 @@ impl Delta {
     }
 }
 
-/// End of a retain or delete of `n` units starting at `cursor` in a
-/// document of `len` units.
+/// End of a retain or delete of `n` bytes starting at `cursor` in a
+/// document of `len` bytes.
 fn op_end(cursor: usize, n: usize, len: usize) -> Result<usize, DeltaError> {
     cursor
         .checked_add(n)
         .filter(|&end| end <= len)
         .ok_or(DeltaError::PastEnd { position: cursor, requested: n, len })
+}
+
+/// As [`op_end`] on `text`, which must also have a character boundary
+/// at the end.
+pub(crate) fn text_end(text: &str, cursor: usize, n: usize) -> Result<usize, DeltaError> {
+    let end = op_end(cursor, n, text.len())?;
+    if text.is_char_boundary(end) {
+        Ok(end)
+    } else {
+        Err(DeltaError::SplitsChar { position: end })
+    }
+}
+
+/// The rest of one operation, borrowed: what an [`OpCursor`] hands out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Piece<'a> {
+    Retain(usize),
+    Delete(usize),
+    Insert(&'a str),
+}
+
+impl<'a> Piece<'a> {
+    fn of(op: &'a DeltaOp) -> Piece<'a> {
+        match op {
+            DeltaOp::Retain(n) => Piece::Retain(*n),
+            DeltaOp::Delete(n) => Piece::Delete(*n),
+            DeltaOp::Insert(s) => Piece::Insert(s),
+        }
+    }
+
+    /// Length in bytes: input consumed by a retain or delete, text
+    /// carried by an insert.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Piece::Retain(n) | Piece::Delete(n) => n,
+            Piece::Insert(s) => s.len(),
+        }
+    }
+}
+
+/// Reads a delta's operations front to back, splitting the head
+/// operation on demand, without copying any of them.
+pub(crate) struct OpCursor<'a> {
+    ops: &'a [DeltaOp],
+    /// Bytes of `ops[0]` already taken.
+    taken: usize,
+}
+
+impl<'a> OpCursor<'a> {
+    pub(crate) fn new(delta: &'a Delta) -> OpCursor<'a> {
+        OpCursor { ops: &delta.ops, taken: 0 }
+    }
+
+    /// The untaken rest of the head operation.
+    pub(crate) fn peek(&self) -> Option<Piece<'a>> {
+        self.ops.first().map(|op| match Piece::of(op) {
+            Piece::Retain(n) => Piece::Retain(n - self.taken),
+            Piece::Delete(n) => Piece::Delete(n - self.taken),
+            Piece::Insert(s) => Piece::Insert(&s[self.taken..]),
+        })
+    }
+
+    /// Takes the rest of the head operation.
+    pub(crate) fn next(&mut self) -> Option<Piece<'a>> {
+        let piece = self.peek()?;
+        self.ops = &self.ops[1..];
+        self.taken = 0;
+        Some(piece)
+    }
+
+    /// Takes the first `n` bytes of the head operation, or all of it
+    /// when it is shorter. An insert must have a character boundary at
+    /// `n`; callers check.
+    pub(crate) fn take(&mut self, n: usize) -> Option<Piece<'a>> {
+        let piece = self.peek()?;
+        if n >= piece.len() {
+            return self.next();
+        }
+        self.taken += n;
+        Some(match piece {
+            Piece::Retain(_) => Piece::Retain(n),
+            Piece::Delete(_) => Piece::Delete(n),
+            Piece::Insert(s) => Piece::Insert(&s[..n]),
+        })
+    }
 }
 
 impl fmt::Display for Delta {
@@ -383,7 +409,8 @@ fn unescape(text: &str) -> Result<String, DeltaError> {
 }
 
 /// Incremental constructor for [`Delta`] values that merges adjacent
-/// operations as they are added (producing normalized deltas).
+/// operations as they are added (producing normalized deltas). Counts
+/// are bytes, as everywhere in this crate.
 ///
 /// # Example
 ///
@@ -406,7 +433,7 @@ impl DeltaBuilder {
         DeltaBuilder { ops: Vec::new() }
     }
 
-    /// Appends a retain of `n` characters (no-op when `n == 0`).
+    /// Appends a retain of `n` bytes (no-op when `n == 0`).
     pub fn retain(&mut self, n: usize) -> &mut DeltaBuilder {
         if n == 0 {
             return self;
@@ -432,7 +459,7 @@ impl DeltaBuilder {
         self
     }
 
-    /// Appends a deletion of `n` characters (no-op when `n == 0`).
+    /// Appends a deletion of `n` bytes (no-op when `n == 0`).
     pub fn delete(&mut self, n: usize) -> &mut DeltaBuilder {
         if n == 0 {
             return self;
@@ -443,6 +470,16 @@ impl DeltaBuilder {
             self.ops.push(DeltaOp::Delete(n));
         }
         self
+    }
+
+    /// Appends a piece of an operation, merging like [`DeltaBuilder::retain`],
+    /// [`DeltaBuilder::delete`] and [`DeltaBuilder::insert`].
+    pub(crate) fn push(&mut self, piece: Piece<'_>) -> &mut DeltaBuilder {
+        match piece {
+            Piece::Retain(n) => self.retain(n),
+            Piece::Delete(n) => self.delete(n),
+            Piece::Insert(s) => self.insert(s),
+        }
     }
 
     /// Finishes the delta, dropping any trailing retain (the protocol
@@ -463,29 +500,29 @@ mod tests {
     #[test]
     fn paper_example_one() {
         let delta = Delta::parse("=2\t-5").unwrap();
-        assert_eq!(delta.apply("abcdefg").unwrap(), "ab");
+        assert_eq!(delta.apply_utf8("abcdefg").unwrap(), "ab");
     }
 
     #[test]
     fn paper_example_two() {
         let delta = Delta::parse("=2\t-3\t+uv\t=2\t+w").unwrap();
-        assert_eq!(delta.apply("abcdefg").unwrap(), "abuvfgw");
+        assert_eq!(delta.apply_utf8("abcdefg").unwrap(), "abuvfgw");
     }
 
     #[test]
     fn empty_delta_is_identity() {
         let delta = Delta::parse("").unwrap();
         assert!(delta.is_identity());
-        assert_eq!(delta.apply("hello").unwrap(), "hello");
+        assert_eq!(delta.apply_utf8("hello").unwrap(), "hello");
         assert_eq!(delta.serialize(), "");
     }
 
     #[test]
     fn implicit_trailing_retain() {
         let delta = Delta::parse("+X").unwrap();
-        assert_eq!(delta.apply("abc").unwrap(), "Xabc");
+        assert_eq!(delta.apply_utf8("abc").unwrap(), "Xabc");
         let delta = Delta::parse("=1\t-1").unwrap();
-        assert_eq!(delta.apply("abc").unwrap(), "ac");
+        assert_eq!(delta.apply_utf8("abc").unwrap(), "ac");
     }
 
     #[test]
@@ -505,7 +542,7 @@ mod tests {
         let wire = delta.serialize();
         assert_eq!(wire, "+a%09b%25c");
         assert_eq!(Delta::parse(&wire).unwrap(), delta);
-        assert_eq!(delta.apply("").unwrap(), "a\tb%c");
+        assert_eq!(delta.apply_utf8("").unwrap(), "a\tb%c");
     }
 
     #[test]
@@ -533,19 +570,21 @@ mod tests {
     #[test]
     fn retain_past_end_fails() {
         let delta = Delta::parse("=10").unwrap();
-        assert!(matches!(delta.apply("abc"), Err(DeltaError::PastEnd { .. })));
+        assert!(matches!(delta.apply_utf8("abc"), Err(DeltaError::PastEnd { .. })));
     }
 
     #[test]
     fn delete_past_end_fails() {
         let delta = Delta::parse("=2\t-5").unwrap();
-        assert!(matches!(delta.apply("abc"), Err(DeltaError::PastEnd { .. })));
+        assert!(matches!(delta.apply_utf8("abc"), Err(DeltaError::PastEnd { .. })));
     }
 
     #[test]
     fn unicode_documents() {
-        let delta = Delta::parse("=2\t+héllo\t-1").unwrap();
-        assert_eq!(delta.apply("日本語です").unwrap(), "日本hélloです");
+        let delta = Delta::parse("=6\t+héllo\t-3").unwrap();
+        assert_eq!(delta.apply_utf8("日本語です").unwrap(), "日本hélloです");
+        let cut = Delta::parse("=2\t+x").unwrap();
+        assert_eq!(cut.apply_utf8("日本語です"), Err(DeltaError::SplitsChar { position: 2 }));
     }
 
     #[test]
@@ -555,6 +594,9 @@ mod tests {
         assert_eq!(delta.len_change(), 0);
         let delta = Delta::parse("-5\t+ab").unwrap();
         assert_eq!(delta.len_change(), -3);
+        let delta = Delta::parse("=2\t+é").unwrap();
+        assert_eq!(delta.len_change(), 2);
+        assert_eq!(delta.ops()[1].output_len(), 2);
     }
 
     #[test]

@@ -12,15 +12,18 @@
 //! The convergence law (OT's TP1 property), verified by property tests:
 //!
 //! ```text
-//! b.transform(a, Right).apply(a.apply(doc))
-//!     == a.transform(b, Left).apply(b.apply(doc))
+//! b.transform(a, Right).apply_utf8(a.apply_utf8(doc))
+//!     == a.transform(b, Left).apply_utf8(b.apply_utf8(doc))
 //! ```
 //!
 //! where [`Side`] breaks the tie when both deltas insert at the same
-//! position (the `Left` delta's insertion ends up first).
+//! position (the `Left` delta's insertion ends up first). Positions and
+//! lengths are bytes, like every count in the delta language; deltas
+//! whose counts end on character boundaries of the base transform into
+//! deltas whose counts end on character boundaries of the merged text.
 
 use crate::error::DeltaError;
-use crate::ops::{Delta, DeltaOp};
+use crate::ops::{Delta, OpCursor, Piece};
 
 /// Tie-breaking priority for concurrent insertions at the same position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,76 +34,10 @@ pub enum Side {
     Right,
 }
 
-/// A consumable cursor over a delta's ops with explicit trailing retain.
-struct OpStream {
-    ops: std::collections::VecDeque<DeltaOp>,
-}
-
-impl OpStream {
-    fn new(delta: &Delta, base_len: usize) -> Result<OpStream, DeltaError> {
-        let consumed = delta.input_len();
-        if consumed > base_len {
-            return Err(DeltaError::PastEnd {
-                position: 0,
-                requested: consumed,
-                len: base_len,
-            });
-        }
-        let mut ops: std::collections::VecDeque<DeltaOp> = delta.ops().to_vec().into();
-        let tail = base_len - consumed;
-        if tail > 0 {
-            ops.push_back(DeltaOp::Retain(tail));
-        }
-        Ok(OpStream { ops })
-    }
-
-    fn peek(&self) -> Option<&DeltaOp> {
-        self.ops.front()
-    }
-
-    fn pop(&mut self) -> Option<DeltaOp> {
-        self.ops.pop_front()
-    }
-
-    /// Consumes up to `n` input characters from the head retain/delete,
-    /// returning how many were consumed and whether they were retained.
-    fn consume(&mut self, n: usize) -> (usize, bool) {
-        match self.ops.pop_front() {
-            Some(DeltaOp::Retain(m)) => {
-                let take = m.min(n);
-                if m > take {
-                    self.ops.push_front(DeltaOp::Retain(m - take));
-                }
-                (take, true)
-            }
-            Some(DeltaOp::Delete(m)) => {
-                let take = m.min(n);
-                if m > take {
-                    self.ops.push_front(DeltaOp::Delete(m - take));
-                }
-                (take, false)
-            }
-            Some(op @ DeltaOp::Insert(_)) => {
-                // Inserts consume no input; put it back.
-                self.ops.push_front(op);
-                (0, true)
-            }
-            None => (0, true),
-        }
-    }
-
-    fn head_input_len(&self) -> usize {
-        match self.peek() {
-            Some(DeltaOp::Retain(n)) | Some(DeltaOp::Delete(n)) => *n,
-            _ => 0,
-        }
-    }
-}
-
 impl Delta {
     /// Rebases this delta over `other`: both were produced against the
-    /// same base document of `base_len` characters; the result applies to
-    /// `other.apply(base)` and preserves this delta's intent.
+    /// same base document of `base_len` bytes; the result applies to
+    /// `other.apply_utf8(base)` and preserves this delta's intent.
     ///
     /// `side` breaks insertion ties: with [`Side::Left`], this delta's
     /// insertions at a shared position land before `other`'s.
@@ -108,7 +45,7 @@ impl Delta {
     /// # Errors
     ///
     /// Returns [`DeltaError::PastEnd`] when either delta consumes more
-    /// than `base_len` characters.
+    /// than `base_len` bytes.
     ///
     /// # Example
     ///
@@ -119,7 +56,7 @@ impl Delta {
     /// let alice = Delta::parse("+A: ")?;                    // prepend
     /// let bob = Delta::parse("=11\t+ (bob)")?;              // append
     /// let bob_rebased = bob.transform(&alice, base.len(), Side::Right)?;
-    /// let merged = bob_rebased.apply(&alice.apply(base)?)?;
+    /// let merged = bob_rebased.apply_utf8(&alice.apply_utf8(base)?)?;
     /// assert_eq!(merged, "A: shared text (bob)");
     /// # Ok::<(), pe_delta::DeltaError>(())
     /// ```
@@ -129,67 +66,56 @@ impl Delta {
         base_len: usize,
         side: Side,
     ) -> Result<Delta, DeltaError> {
-        let mut a = OpStream::new(self, base_len)?;
-        let mut b = OpStream::new(other, base_len)?;
+        for delta in [self, other] {
+            let consumed = delta.input_len();
+            if consumed > base_len {
+                return Err(DeltaError::PastEnd {
+                    position: 0,
+                    requested: consumed,
+                    len: base_len,
+                });
+            }
+        }
+        let (mut a, mut b) = (OpCursor::new(self), OpCursor::new(other));
         let mut out = Delta::builder();
         loop {
             match (a.peek(), b.peek()) {
                 (None, _) => break,
                 // This delta inserts: it wins the tie when Left, or when
                 // the other is not inserting here.
-                (Some(DeltaOp::Insert(_)), peek_b) => {
-                    let b_inserting = matches!(peek_b, Some(DeltaOp::Insert(_)));
-                    if side == Side::Left || !b_inserting {
-                        if let Some(DeltaOp::Insert(s)) = a.pop() {
-                            out.insert(&s);
-                        }
-                    } else if let Some(DeltaOp::Insert(s)) = b.pop() {
-                        // The other's insert lands first: retain over it.
-                        out.retain(s.chars().count());
-                    }
+                (Some(Piece::Insert(s)), theirs)
+                    if side == Side::Left || !matches!(theirs, Some(Piece::Insert(_))) =>
+                {
+                    out.insert(s);
+                    a.next();
                 }
                 // The other inserts text this delta must retain over.
-                (_, Some(DeltaOp::Insert(_))) => {
-                    if let Some(DeltaOp::Insert(s)) = b.pop() {
-                        out.retain(s.chars().count());
+                (_, Some(Piece::Insert(s))) => {
+                    out.retain(s.len());
+                    b.next();
+                }
+                // The other is exhausted: it implicitly retains the rest
+                // of the base, so the rest of this delta is unchanged.
+                (Some(_), None) => {
+                    while let Some(piece) = a.next() {
+                        out.push(piece);
                     }
                 }
-                // Both consume base characters.
-                (Some(_), Some(_)) => {
-                    let n = a.head_input_len().min(b.head_input_len()).max(1);
-                    let (taken_a, a_retains) = a.consume(n);
-                    let (taken_b, b_retains) = b.consume(taken_a);
-                    debug_assert_eq!(taken_a, taken_b, "streams must stay aligned");
-                    match (a_retains, b_retains) {
-                        // Both keep the characters.
-                        (true, true) => {
-                            out.retain(taken_a);
+                // Both consume base bytes.
+                (Some(ours), Some(theirs)) => {
+                    let n = ours.len().min(theirs.len());
+                    match (a.take(n), b.take(n)) {
+                        // Both keep the bytes.
+                        (Some(Piece::Retain(_)), Some(Piece::Retain(_))) => {
+                            out.retain(n);
                         }
-                        // This delta deletes characters the other kept.
-                        (false, true) => {
-                            out.delete(taken_a);
+                        // This delta deletes bytes the other kept.
+                        (Some(Piece::Delete(_)), Some(Piece::Retain(_))) => {
+                            out.delete(n);
                         }
                         // The other already deleted them: nothing to do.
-                        (true, false) | (false, false) => {}
+                        _ => {}
                     }
-                }
-                // The other is exhausted (its implicit tail was explicit,
-                // so this means both hit base_len): emit the rest of a.
-                (Some(_), None) => {
-                    while let Some(op) = a.pop() {
-                        match op {
-                            DeltaOp::Retain(n) => {
-                                out.retain(n);
-                            }
-                            DeltaOp::Delete(n) => {
-                                out.delete(n);
-                            }
-                            DeltaOp::Insert(s) => {
-                                out.insert(&s);
-                            }
-                        }
-                    }
-                    break;
                 }
             }
         }
@@ -200,15 +126,16 @@ impl Delta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::byte_delta_on_char_boundaries;
     use proptest::prelude::*;
 
     /// Checks TP1 convergence for a pair of concurrent deltas.
     fn converges(doc: &str, a: &Delta, b: &Delta) -> String {
-        let len = doc.chars().count();
+        let len = doc.len();
         let a_prime = a.transform(b, len, Side::Left).unwrap();
         let b_prime = b.transform(a, len, Side::Right).unwrap();
-        let via_a = b_prime.apply(&a.apply(doc).unwrap()).unwrap();
-        let via_b = a_prime.apply(&b.apply(doc).unwrap()).unwrap();
+        let via_a = b_prime.apply_utf8(&a.apply_utf8(doc).unwrap()).unwrap();
+        let via_b = a_prime.apply_utf8(&b.apply_utf8(doc).unwrap()).unwrap();
         assert_eq!(via_a, via_b, "TP1 violated for {a:?} / {b:?} on {doc:?}");
         via_a
     }
@@ -248,12 +175,24 @@ mod tests {
     }
 
     #[test]
+    fn multibyte_edits_are_counted_in_bytes() {
+        let doc = "café au lait";
+        let a = Delta::parse("=13\t+!").unwrap(); // append
+        let b = Delta::parse("+ß").unwrap(); // prepend two bytes
+        assert_eq!(converges(doc, &a, &b), "ßcafé au lait!");
+        let a = Delta::parse("=6\t+X").unwrap(); // before "au"
+        let b = Delta::parse("=3\t-2\t+e").unwrap(); // é -> e
+        assert_eq!(converges(doc, &a, &b), "cafe Xau lait");
+    }
+
+    #[test]
     fn identity_transforms_to_identity() {
         let doc = "unchanged";
         let id = Delta::new();
         let b = Delta::parse("=3\t+news").unwrap();
         let id_prime = id.transform(&b, doc.len(), Side::Left).unwrap();
-        assert!(id_prime.apply(&b.apply(doc).unwrap()).unwrap() == b.apply(doc).unwrap());
+        let edited = b.apply_utf8(doc).unwrap();
+        assert_eq!(id_prime.apply_utf8(&edited).unwrap(), edited);
     }
 
     #[test]
@@ -264,30 +203,8 @@ mod tests {
         assert!(b.transform(&a, 5, Side::Right).is_err());
     }
 
-    /// Builds a valid random delta for a document of `len` chars.
-    fn build(len: usize, raw: &[(u8, u8, char)]) -> Delta {
-        let mut remaining = len;
-        let mut builder = Delta::builder();
-        for &(kind, n, c) in raw {
-            let n = n as usize % 7;
-            match kind % 3 {
-                0 => {
-                    let take = n.min(remaining);
-                    remaining -= take;
-                    builder.retain(take);
-                }
-                1 => {
-                    let take = n.min(remaining);
-                    remaining -= take;
-                    builder.delete(take);
-                }
-                _ => {
-                    let text: String = std::iter::repeat_n(c, n % 4).collect();
-                    builder.insert(&text);
-                }
-            }
-        }
-        builder.build()
+    fn raw_ops() -> impl Strategy<Value = Vec<(u8, usize, String)>> {
+        proptest::collection::vec((any::<u8>(), 0usize..7, "\\PC{0,3}"), 0..8)
     }
 
     proptest! {
@@ -295,32 +212,24 @@ mod tests {
 
         /// TP1: concurrent deltas converge regardless of application order.
         #[test]
-        fn tp1_convergence(
-            doc in "[a-d]{0,40}",
-            raw_a in proptest::collection::vec((any::<u8>(), any::<u8>(), proptest::char::range('w', 'y')), 0..8),
-            raw_b in proptest::collection::vec((any::<u8>(), any::<u8>(), proptest::char::range('W', 'Y')), 0..8),
-        ) {
-            let len = doc.chars().count();
-            let a = build(len, &raw_a);
-            let b = build(len, &raw_b);
+        fn tp1_convergence(doc in "\\PC{0,40}", raw_a in raw_ops(), raw_b in raw_ops()) {
+            let len = doc.len();
+            let a = byte_delta_on_char_boundaries(&doc, raw_a);
+            let b = byte_delta_on_char_boundaries(&doc, raw_b);
             let a_prime = a.transform(&b, len, Side::Left).unwrap();
             let b_prime = b.transform(&a, len, Side::Right).unwrap();
-            let via_a = b_prime.apply(&a.apply(&doc).unwrap()).unwrap();
-            let via_b = a_prime.apply(&b.apply(&doc).unwrap()).unwrap();
+            let via_a = b_prime.apply_utf8(&a.apply_utf8(&doc).unwrap()).unwrap();
+            let via_b = a_prime.apply_utf8(&b.apply_utf8(&doc).unwrap()).unwrap();
             prop_assert_eq!(via_a, via_b);
         }
 
         /// Transforming against the identity changes nothing semantically.
         #[test]
-        fn identity_is_neutral(
-            doc in "[a-d]{0,30}",
-            raw in proptest::collection::vec((any::<u8>(), any::<u8>(), proptest::char::range('p', 'r')), 0..8),
-        ) {
-            let len = doc.chars().count();
-            let a = build(len, &raw);
+        fn identity_is_neutral(doc in "\\PC{0,30}", raw in raw_ops()) {
+            let a = byte_delta_on_char_boundaries(&doc, raw);
             let id = Delta::new();
-            let a_prime = a.transform(&id, len, Side::Left).unwrap();
-            prop_assert_eq!(a_prime.apply(&doc).unwrap(), a.apply(&doc).unwrap());
+            let a_prime = a.transform(&id, doc.len(), Side::Left).unwrap();
+            prop_assert_eq!(a_prime.apply_utf8(&doc).unwrap(), a.apply_utf8(&doc).unwrap());
         }
     }
 }

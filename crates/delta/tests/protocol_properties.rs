@@ -1,25 +1,11 @@
 //! Property tests for the delta protocol's wire format and algebra.
 
-use pe_delta::{diff, Delta, DeltaOp};
+use pe_delta::{diff_bytes, Delta, DeltaError, DeltaOp};
 use proptest::prelude::*;
 
-/// Builds a delta against `doc` from `(kind, n, text)` triples: retains
-/// and deletes of up to `n` of the characters left, counted in **bytes**,
-/// so every count lands on a character boundary.
-fn byte_delta_on_char_boundaries(doc: &str, raw: Vec<(u8, usize, String)>) -> Delta {
-    let mut rest = doc;
-    let mut ops = Vec::new();
-    for (kind, n, text) in raw {
-        if kind % 3 == 2 {
-            ops.push(DeltaOp::Insert(text));
-            continue;
-        }
-        let bytes = rest.char_indices().nth(n).map_or(rest.len(), |(i, _)| i);
-        rest = &rest[bytes..];
-        ops.push(if kind % 3 == 0 { DeltaOp::Retain(bytes) } else { DeltaOp::Delete(bytes) });
-    }
-    Delta::from_ops(ops)
-}
+mod support;
+
+use support::{apply_counting_chars, byte_delta_on_char_boundaries};
 
 fn arbitrary_op() -> impl Strategy<Value = DeltaOp> {
     prop_oneof![
@@ -39,17 +25,19 @@ proptest! {
         prop_assert_eq!(Delta::parse(&wire).unwrap(), delta);
     }
 
-    /// diff(a, b) always transforms a into b, for any pair of strings.
+    /// diff_bytes(a, b) always transforms a into b, for any pair of
+    /// strings.
     #[test]
     fn diff_is_always_correct(a in "\\PC{0,80}", b in "\\PC{0,80}") {
-        let delta = diff(&a, &b);
-        prop_assert_eq!(delta.apply(&a).unwrap(), b);
+        let delta = diff_bytes(&a, &b);
+        prop_assert_eq!(delta.apply_utf8(&a).unwrap(), b);
     }
 
-    /// diff is canonical: diffing equal documents gives the identity.
+    /// diff_bytes is canonical: diffing equal documents gives the
+    /// identity.
     #[test]
     fn diff_of_equal_is_identity(a in "\\PC{0,80}") {
-        prop_assert!(diff(&a, &a).is_identity());
+        prop_assert!(diff_bytes(&a, &a).is_identity());
     }
 
     /// Normalization never changes a delta's effect.
@@ -78,7 +66,7 @@ proptest! {
         }
         let delta = Delta::from_ops(ops);
         let normalized = delta.normalized();
-        prop_assert_eq!(delta.apply(&doc).unwrap(), normalized.apply(&doc).unwrap());
+        prop_assert_eq!(delta.apply_utf8(&doc).unwrap(), normalized.apply_utf8(&doc).unwrap());
     }
 
     /// Canonicalization is idempotent and effect-preserving.
@@ -100,10 +88,11 @@ proptest! {
         let once = delta.canonicalize(&doc).unwrap();
         let twice = once.canonicalize(&doc).unwrap();
         prop_assert_eq!(&once, &twice);
-        prop_assert_eq!(once.apply(&doc).unwrap(), delta.apply(&doc).unwrap());
+        prop_assert_eq!(once.apply_utf8(&doc).unwrap(), delta.apply_utf8(&doc).unwrap());
     }
 
-    /// apply and apply_bytes agree on ASCII documents.
+    /// apply_bytes and the char-counted reference apply agree on ASCII
+    /// documents.
     #[test]
     fn apply_bytes_matches_apply_on_ascii(
         doc in "[ -~]{0,60}",
@@ -115,14 +104,15 @@ proptest! {
         let mut builder = Delta::builder();
         builder.retain(at).insert(&text);
         let delta = builder.build();
-        let via_chars = delta.apply(&doc).unwrap();
+        let via_chars = apply_counting_chars(&delta, &doc).unwrap();
         let via_bytes = String::from_utf8(delta.apply_bytes(doc.as_bytes()).unwrap()).unwrap();
         prop_assert_eq!(via_chars, via_bytes);
     }
 
-    /// ASCII oracle: on ASCII documents the byte-counted canonicalization
-    /// is exactly the char-counted `diff(base, delta.apply(base))`, errors
-    /// included, so the §VI-B countermeasure's wire output is unchanged.
+    /// ASCII oracle: on ASCII documents the canonicalization is exactly
+    /// the minimal splice from `base` to the char-counted reference
+    /// apply, errors included, so the §VI-B countermeasure's wire output
+    /// is what a char-counted protocol would send.
     #[test]
     fn canonicalize_matches_char_diff_on_ascii(
         doc in "[ -~]{0,200}",
@@ -136,7 +126,7 @@ proptest! {
         ),
     ) {
         let delta = Delta::from_ops(ops);
-        let oracle = delta.apply(&doc).map(|updated| diff(&doc, &updated));
+        let oracle = apply_counting_chars(&delta, &doc).map(|updated| diff_bytes(&doc, &updated));
         prop_assert_eq!(delta.canonicalize(&doc), oracle);
     }
 

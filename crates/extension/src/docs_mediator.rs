@@ -12,7 +12,7 @@ use pe_crypto::drbg::NonceSource;
 use pe_crypto::form;
 use pe_crypto::sha256::Sha256;
 use pe_crypto::{hex, CtrDrbg, SystemRandom};
-use pe_delta::{diff, diff_bytes, Delta};
+use pe_delta::{diff_bytes, Delta};
 use pe_tenant::{ServiceRecords, Session, TenantDirectory};
 
 use crate::countermeasures;
@@ -566,7 +566,7 @@ impl<S: CloudService> DocsMediator<S> {
                 let new_plain = String::from_utf8(doc.decrypt()?).map_err(|_| {
                     ExtensionError::BadResponse { detail: "document is not text".into() }
                 })?;
-                let pdelta = diff(&old_plain, &new_plain);
+                let pdelta = diff_bytes(&old_plain, &new_plain);
                 let state = self.docs.get_mut(doc_id).expect("state checked above");
                 state.transformer = DeltaTransformer::from_serialized(doc, new_cipher);
                 state.plaintext = new_plain;

@@ -339,7 +339,7 @@ fn long_editing_session_stays_consistent() {
             b.retain(at).insert(&text);
             b.build()
         };
-        model = delta.apply(&model).unwrap();
+        model = delta.apply_utf8(&model).unwrap();
         mediator.save_delta(&doc_id, &delta).unwrap();
         assert_eq!(mediator.plaintext(&doc_id), Some(model.as_str()), "step {step}");
     }

@@ -60,7 +60,7 @@ proptest! {
         let mut model = initial.clone();
         for raw in &edits {
             let delta = resolve(raw, &model);
-            model = delta.apply(&model).unwrap();
+            model = delta.apply_utf8(&model).unwrap();
             mediator.save_delta(&doc_id, &delta).unwrap();
             // Invariant 1: the mediator's view tracks the model.
             prop_assert_eq!(mediator.plaintext(&doc_id), Some(model.as_str()));

@@ -291,6 +291,35 @@ pedit --connect "$addr" watch --doc "$ldoc" --password live-pw --rounds 1 --wait
 lraw="$(pedit --connect "$addr" raw --doc "$ldoc")"
 case "$lraw" in *from-a1*|*from-b1*) echo "live plaintext leaked to the provider" >&2; exit 1;; esac
 
+echo "== non-ASCII live collaboration drill =="
+# The same two-editor drill on a non-ASCII base. Every delta on the live
+# path (editor, rebase, change stream, mediator) counts bytes, so each
+# editor's multi-byte tokens must survive the other's concurrent edits,
+# and the provider must see none of them.
+ndoc="$(pedit --connect "$addr" create --password live-pw | sed 's/^created //')"
+pedit --connect "$addr" save --doc "$ndoc" --password live-pw --text "café base"
+pedit --connect "$addr" edit --live --doc "$ndoc" --password live-pw \
+  --editor drill-na --ops "a: été-a1,a: naïve-a2" --rounds 4 --wait-ms 200 >/dev/null &
+live_a=$!
+pedit --connect "$addr" edit --live --doc "$ndoc" --password live-pw \
+  --editor drill-nb --ops "a: 日本-b1,a: ωμέγα-b2" --rounds 4 --wait-ms 200 >/dev/null &
+live_b=$!
+wait "$live_a" || { echo "non-ASCII live editor A failed" >&2; exit 1; }
+wait "$live_b" || { echo "non-ASCII live editor B failed" >&2; exit 1; }
+nmerged="$(pedit --connect "$addr" show --doc "$ndoc" --password live-pw)"
+for token in "café base" été-a1 naïve-a2 日本-b1 ωμέγα-b2; do
+  case "$nmerged" in
+    *"$token"*) ;;
+    *) echo "non-ASCII live merge lost $token: $nmerged" >&2; exit 1;;
+  esac
+done
+nraw="$(pedit --connect "$addr" raw --doc "$ndoc")"
+for token in café été naïve 日本 ωμέγα; do
+  case "$nraw" in
+    *"$token"*) echo "non-ASCII live plaintext leaked to the provider: $token" >&2; exit 1;;
+  esac
+done
+
 echo "== crash-recovery drill (sharded) =="
 # SIGKILL the running sharded server mid-flight: every save it
 # acknowledged must be on disk, fsck must walk every shard and call the

@@ -73,7 +73,7 @@ pub mod prelude {
         DocumentKey, EditOp, IncrementalCipherDoc, Mode, RecbDocument, RpcDocument, SchemeParams,
     };
     pub use pe_crypto::{CtrDrbg, SystemRandom};
-    pub use pe_delta::{diff, Delta, DeltaOp};
+    pub use pe_delta::{diff_bytes, Delta, DeltaOp};
     pub use pe_extension::{
         BespinMediator, BuzzwordMediator, DocsMediator, MediatorConfig, Outcome,
     };
