@@ -156,8 +156,7 @@ impl<S: BlockSeq<SealedBlock> + Default> RecbDocument<S> {
             rng,
             scratch: SealScratch::default(),
         };
-        let workers = batch::auto_workers(chunk_count(plaintext.len(), params.max_block));
-        doc.seal_all(plaintext, workers);
+        doc.seal_all(plaintext);
         doc.blocks.extend_back(doc.scratch.sealed());
         Ok(doc)
     }
@@ -250,12 +249,11 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
     /// document's [`SealScratch`] for the caller to take with
     /// [`SealScratch::sealed`] (the batch `Enc` path).
     ///
-    /// Nonces are drawn from the document DRBG **sequentially** while the
-    /// blocks are packed; only the AES applications fan out when
-    /// `workers > 1`, so the ciphertext is byte-identical for every
-    /// worker count. The packing and nonce buffers are the document's
-    /// reused [`SealScratch`], so repeated saves do not allocate.
-    fn seal_all(&mut self, text: &[u8], workers: usize) {
+    /// Nonces are drawn from the document DRBG in one bulk draw before the
+    /// blocks are packed, then one AES pass encrypts them all. The
+    /// packing and nonce buffers are the document's reused
+    /// [`SealScratch`], so repeated saves do not allocate.
+    fn seal_all(&mut self, text: &[u8]) {
         let n = chunk_count(text.len(), self.params.max_block);
         // One bulk draw for every block nonce: a NonceSource is a byte
         // stream, so this yields the same bytes as n sequential 8-byte
@@ -276,13 +274,13 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
             self.scratch.bufs.push(block);
             self.scratch.lens.push(chunk.len() as u8);
         }
-        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt, workers);
+        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt);
         pe_observe::static_counter!("core.blocks_sealed.recb").add(n as u64);
     }
 
     /// Opens (decrypts) every block, appending the plaintext to `out`
     /// (the batch `Dec` path): one contiguous scratch buffer for the AES
-    /// work instead of a `Vec` per block, fanned out for large documents.
+    /// work instead of a `Vec` per block.
     fn open_all(&self, out: &mut Vec<u8>) {
         let n = self.blocks.len_blocks();
         let mut bufs: Vec<[u8; 16]> = Vec::with_capacity(n);
@@ -291,7 +289,7 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
             bufs.push(sealed.cipher);
             lens.push(sealed.len);
         }
-        batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt, batch::auto_workers(n));
+        batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt);
         out.reserve(self.blocks.total_weight());
         // dᵢ = right ⊕ rᵢ = right ⊕ (left ⊕ r0), a whole-word XOR.
         let r0w = u64::from_ne_bytes(self.r0);
@@ -338,8 +336,7 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
         for _ in 0..removed {
             self.blocks.remove(start_block);
         }
-        let workers = batch::auto_workers(chunk_count(content.len(), self.params.max_block));
-        self.seal_all(&content, workers);
+        self.seal_all(&content);
         let mut inserted = Vec::with_capacity(self.scratch.lens.len());
         for (i, sealed) in self.scratch.sealed().enumerate() {
             inserted.push(encode_record(sealed.tag(), &sealed.cipher));
@@ -349,10 +346,9 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
     }
 
     /// Full-document replacement via the batch seal path: one nonce pass,
-    /// one (possibly parallel) AES pass, no per-edit splice planning.
+    /// one AES pass, no per-edit splice planning.
     fn replace_all(&mut self, plaintext: &[u8]) -> Result<(), CoreError> {
-        let workers = batch::auto_workers(chunk_count(plaintext.len(), self.params.max_block));
-        self.seal_all(plaintext, workers);
+        self.seal_all(plaintext);
         let mut blocks = S::default();
         blocks.extend_back(self.scratch.sealed());
         self.blocks = blocks;
@@ -588,23 +584,34 @@ mod tests {
     }
 
     #[test]
-    fn forced_parallel_seal_is_byte_identical_to_serial() {
+    fn batch_seal_matches_blocks_packed_one_by_one() {
         // Two empty documents created from the same seed share r0 and the
-        // DRBG state. Sealing the same text with different worker counts
-        // must produce byte-identical blocks, because nonce draws stay
-        // sequential and only the AES applications fan out.
+        // DRBG state. The batch seal (one bulk nonce draw, word-wise
+        // packing, one AES pass) must give exactly the blocks of the
+        // paper's definition, E_K((r0 ⊕ rᵢ) ‖ (rᵢ ⊕ dᵢ)), sealed one at a
+        // time with one 8-byte nonce draw each.
         let text: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let mut serial = doc(b"", 8, 42);
-        let mut parallel = doc(b"", 8, 42);
-        serial.seal_all(&text, 1);
-        parallel.seal_all(&text, 4);
-        let a: Vec<SealedBlock> = serial.scratch.sealed().collect();
-        let b: Vec<SealedBlock> = parallel.scratch.sealed().collect();
-        assert_eq!(a, b, "worker count must not change the ciphertext");
-        for (i, sealed) in a.into_iter().enumerate() {
-            serial.blocks.insert(i, sealed);
+        let mut batch = doc(b"", 8, 42);
+        let mut single = doc(b"", 8, 42);
+        batch.seal_all(&text);
+        let sealed: Vec<SealedBlock> = batch.scratch.sealed().collect();
+        assert_eq!(sealed.len(), text.len().div_ceil(8));
+        for (chunk, got) in text.chunks(8).zip(&sealed) {
+            let mut ri = [0u8; 8];
+            single.rng.fill_bytes(&mut ri);
+            let data = pad8(chunk);
+            let mut block = [0u8; 16];
+            for j in 0..8 {
+                block[j] = single.r0[j] ^ ri[j];
+                block[8 + j] = ri[j] ^ data[j];
+            }
+            single.cipher.encrypt_block(&mut block);
+            assert_eq!(*got, SealedBlock { len: chunk.len() as u8, cipher: block });
         }
-        assert_eq!(serial.decrypt().unwrap(), text);
+        for (i, block) in sealed.into_iter().enumerate() {
+            batch.blocks.insert(i, block);
+        }
+        assert_eq!(batch.decrypt().unwrap(), text);
     }
 
     #[test]

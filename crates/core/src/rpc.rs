@@ -155,8 +155,7 @@ impl RpcDocument {
         // Draw chain nonces: r1 … rn, closing back to r0.
         let r_in = if n == 0 { r0 } else { doc.rng.next_u32() };
         doc.reseal_header(r_in);
-        let workers = batch::auto_workers(n);
-        doc.seal_all(plaintext, r_in, r0, workers);
+        doc.seal_all(plaintext, r_in, r0);
         doc.blocks.extend_back(doc.scratch.sealed());
         doc.reseal_checksum();
         Ok(doc)
@@ -277,7 +276,6 @@ impl RpcDocument {
         text: &[u8],
         r_in_first: u32,
         r_out_last: u32,
-        workers: usize,
     ) {
         let n = chunk_count(text.len(), self.params.max_block);
         // One bulk draw for the n-1 intermediate chain nonces: a
@@ -308,7 +306,7 @@ impl RpcDocument {
             self.scratch.lens.push(piece.len() as u8);
             r_in = r_out;
         }
-        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt, workers);
+        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt);
         pe_observe::static_counter!("core.blocks_sealed.rpc").add(n as u64);
     }
 
@@ -387,7 +385,7 @@ impl RpcDocument {
         // Batch-decrypt every data block in one pass, then walk the
         // decrypted buffers in order checking the chain. The chain checks
         // are pure reads, so decryption order does not matter and the
-        // batch (possibly parallel) pass is safe.
+        // batch pass is safe.
         let n = self.blocks.len_blocks();
         let mut bufs: Vec<[u8; 16]> = Vec::with_capacity(n);
         let mut tags: Vec<u8> = Vec::with_capacity(n);
@@ -395,7 +393,7 @@ impl RpcDocument {
             bufs.push(sealed.cipher);
             tags.push(sealed.len);
         }
-        batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt, batch::auto_workers(n));
+        batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt);
         let mut xor_r = 0u32;
         let mut xor_mid = 0u64;
         let mut plaintext = Vec::with_capacity(self.blocks.total_weight());
@@ -506,8 +504,7 @@ impl IncrementalCipherDoc for RpcDocument {
                 data_patch = CipherPatch::splice(1 + pred, 1 + removed, vec![record]);
             }
         } else {
-            let workers = batch::auto_workers(n);
-            self.seal_all(&content, chain_in, chain_out, workers);
+            self.seal_all(&content, chain_in, chain_out);
             let mut inserted = Vec::with_capacity(n);
             for (i, sealed) in self.scratch.sealed().enumerate() {
                 inserted.push(encode_record(sealed.tag(), &sealed.cipher));
@@ -541,8 +538,7 @@ impl IncrementalCipherDoc for RpcDocument {
         // Fresh chain under the unchanged document nonce r0.
         let r_in = if n == 0 { self.r0 } else { self.rng.next_u32() };
         self.reseal_header(r_in);
-        let workers = batch::auto_workers(n);
-        self.seal_all(plaintext, r_in, self.r0, workers);
+        self.seal_all(plaintext, r_in, self.r0);
         self.blocks.extend_back(self.scratch.sealed());
         self.reseal_checksum();
         Ok(())
@@ -779,25 +775,30 @@ mod tests {
     }
 
     #[test]
-    fn forced_parallel_seal_is_byte_identical_to_serial() {
-        // Same-seed empty documents share r0 and DRBG state; sealing the
-        // same text with different worker counts must give identical
-        // blocks and identical checksum aggregates.
+    fn batch_seal_matches_block_by_block_seal() {
+        // Same-seed empty documents share r0 and DRBG state. The batch
+        // seal (one bulk draw of the intermediate chain nonces, one AES
+        // pass) must give the blocks and checksum aggregates of sealing
+        // block by block with one `next_u32` per chain link.
         let text: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
-        let mut serial = doc(b"", 7, 42);
-        let mut parallel = doc(b"", 7, 42);
-        let r_in_s = serial.rng.next_u32();
-        let r_in_p = parallel.rng.next_u32();
-        assert_eq!(r_in_s, r_in_p);
-        let r0_s = serial.r0;
-        serial.seal_all(&text, r_in_s, r0_s, 1);
-        let r0_p = parallel.r0;
-        parallel.seal_all(&text, r_in_p, r0_p, 4);
-        let a: Vec<SealedBlock> = serial.scratch.sealed().collect();
-        let b: Vec<SealedBlock> = parallel.scratch.sealed().collect();
-        assert_eq!(a, b, "worker count must not change the ciphertext");
-        assert_eq!(serial.xor_r, parallel.xor_r);
-        assert_eq!(serial.xor_mid, parallel.xor_mid);
+        let mut batch = doc(b"", 7, 42);
+        let mut single = doc(b"", 7, 42);
+        let r_in = batch.rng.next_u32();
+        assert_eq!(single.rng.next_u32(), r_in);
+        let r0 = batch.r0;
+        batch.seal_all(&text, r_in, r0);
+        let a: Vec<SealedBlock> = batch.scratch.sealed().collect();
+        let n = text.chunks(7).len();
+        let mut chain_in = r_in;
+        let mut b = Vec::with_capacity(n);
+        for (i, piece) in text.chunks(7).enumerate() {
+            let chain_out = if i + 1 == n { r0 } else { single.rng.next_u32() };
+            b.push(single.seal(chain_in, piece, chain_out));
+            chain_in = chain_out;
+        }
+        assert_eq!(a, b, "batch and per-block sealing must agree");
+        assert_eq!(batch.xor_r, single.xor_r);
+        assert_eq!(batch.xor_mid, single.xor_mid);
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
     ///
     /// Delegates to [`IncrementalCipherDoc::replace_all`], so schemes with
     /// a batch seal path (rECB, RPC) re-encrypt the whole document in one
-    /// — possibly parallel — pass instead of two block-by-block splices.
+    /// pass instead of two block-by-block splices.
     ///
     /// Returns the new serialized ciphertext.
     ///

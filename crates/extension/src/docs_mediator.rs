@@ -45,6 +45,27 @@ pub struct Mediated {
     pub suggested_delay: Duration,
 }
 
+/// What the open core made of the server's answer to an open or load.
+enum Opened {
+    /// The server refused; its response passes through untouched.
+    Refused(Response),
+    /// No key for the document: the response passes through as raw
+    /// ciphertext, and `content` is the stored ciphertext it carries.
+    Unkeyed { response: Response, content: String },
+    /// Decrypted into the document's mirror. Holds the server's form
+    /// fields with `content` taken out.
+    Decrypted(Vec<(String, String)>),
+}
+
+impl Opened {
+    fn outcome(&self) -> Outcome {
+        match self {
+            Opened::Refused(_) | Opened::Unkeyed { .. } => Outcome::PassedThrough,
+            Opened::Decrypted(_) => Outcome::Decrypted,
+        }
+    }
+}
+
 /// Per-document cryptographic state held by the extension (the paper: the
 /// `enc_scheme` object "maintains a copy of the state of the ciphertext
 /// document which is needed to transform the delta").
@@ -237,10 +258,22 @@ impl<S: CloudService> DocsMediator<S> {
     /// (no password, wrong password, tampered ciphertext). Unknown
     /// requests are not errors — they come back [`Outcome::Blocked`].
     pub fn intercept(&mut self, request: &Request) -> Result<Mediated, ExtensionError> {
+        self.counted(|m| m.intercept_inner(request), |mediated| mediated.outcome)
+    }
+
+    /// Runs one mediated request, ticking `mediator.requests` and then
+    /// either the counter of its [`Outcome`] or `mediator.errors`. The
+    /// Figure-2 entry point and the typed wrappers both count through
+    /// here, so a request counts the same whichever way it came in.
+    fn counted<T>(
+        &mut self,
+        run: impl FnOnce(&mut Self) -> Result<T, ExtensionError>,
+        outcome: impl FnOnce(&T) -> Outcome,
+    ) -> Result<T, ExtensionError> {
         pe_observe::static_counter!("mediator.requests").inc();
-        let result = self.intercept_inner(request);
+        let result = run(self);
         match &result {
-            Ok(mediated) => pe_observe::counter(match mediated.outcome {
+            Ok(value) => pe_observe::counter(match outcome(value) {
                 Outcome::PassedThrough => "mediator.outcome.passed_through",
                 Outcome::Encrypted => "mediator.outcome.encrypted",
                 Outcome::Decrypted => "mediator.outcome.decrypted",
@@ -260,7 +293,7 @@ impl<S: CloudService> DocsMediator<S> {
                 None => self.handle_save(request),
                 Some(_) => Ok(self.blocked()),
             },
-            (Method::Get, "/Doc/load") => self.handle_load(request),
+            (Method::Get, "/Doc/load") => self.handle_open(request),
             (Method::Get, "/Doc/changes") => self.handle_changes(request),
             // Presence is sealed client-side (the live session encrypts
             // editor name and cursor before it ever reaches this layer),
@@ -305,18 +338,13 @@ impl<S: CloudService> DocsMediator<S> {
         }
     }
 
-    /// Rewrites an open/load response so the client sees plaintext.
-    fn decrypt_content_response(
-        &mut self,
-        doc_id: &str,
-        response: Response,
-    ) -> Result<Mediated, ExtensionError> {
+    /// The open core, shared by [`Self::intercept`] (open and load) and
+    /// [`Self::open_document`]: adopts the server's answer. When the
+    /// document is keyed, the stored ciphertext becomes the mirror and
+    /// is decrypted into it; the plaintext is never form-encoded here.
+    fn open_core(&mut self, doc_id: &str, response: Response) -> Result<Opened, ExtensionError> {
         if !response.is_success() {
-            return Ok(Mediated {
-                response,
-                outcome: Outcome::PassedThrough,
-                suggested_delay: Duration::ZERO,
-            });
+            return Ok(Opened::Refused(response));
         }
         let body = response.body_text().ok_or_else(|| ExtensionError::BadResponse {
             detail: "response body is not text".into(),
@@ -324,22 +352,18 @@ impl<S: CloudService> DocsMediator<S> {
         let mut pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
             detail: format!("unparseable response form: {e}"),
         })?;
-        if !self.keyring.has(doc_id) && self.tenant.is_none() {
-            // No password: the user sees raw ciphertext, as the paper
-            // describes for parties without the password.
-            return Ok(Mediated {
-                response,
-                outcome: Outcome::PassedThrough,
-                suggested_delay: Duration::ZERO,
-            });
-        }
-        // The ciphertext moves into the mirror; the rewrite below puts
-        // the plaintext in its place.
+        // The ciphertext moves out of the form: into the mirror, or back
+        // to a caller that holds no key.
         let content = pairs
             .iter_mut()
             .find(|(k, _)| k == "content")
             .map(|(_, v)| std::mem::take(v))
             .unwrap_or_default();
+        if !self.keyring.has(doc_id) && self.tenant.is_none() {
+            // No password: the user sees raw ciphertext, as the paper
+            // describes for parties without the password.
+            return Ok(Opened::Unkeyed { response, content });
+        }
         // Rebuild state from the authoritative server copy (it may have
         // been changed by a collaborator).
         self.docs.remove(doc_id);
@@ -348,9 +372,26 @@ impl<S: CloudService> DocsMediator<S> {
             self.ensure_state(doc_id, Some(content))?;
         }
         let version = form::first_value(&pairs, "version").and_then(|v| v.parse().ok());
-        let state = self.docs.get_mut(doc_id).expect("ensured above");
-        state.version = version;
-        let plaintext = state.plaintext.as_str();
+        self.docs.get_mut(doc_id).expect("ensured above").version = version;
+        Ok(Opened::Decrypted(pairs))
+    }
+
+    /// Open and load through [`Self::intercept`]: the open core, then the
+    /// response rewritten so the client sees plaintext.
+    fn handle_open(&mut self, request: &Request) -> Result<Mediated, ExtensionError> {
+        let doc_id = request.query_param("docID").unwrap_or("");
+        let response = self.server.handle(request);
+        let pairs = match self.open_core(doc_id, response)? {
+            Opened::Refused(response) | Opened::Unkeyed { response, .. } => {
+                return Ok(Mediated {
+                    response,
+                    outcome: Outcome::PassedThrough,
+                    suggested_delay: Duration::ZERO,
+                })
+            }
+            Opened::Decrypted(pairs) => pairs,
+        };
+        let plaintext = self.docs[doc_id].plaintext.as_str();
         let hash = hex::encode(&Sha256::digest(plaintext.as_bytes())[..8]);
         let rewritten: Vec<(&str, &str)> = pairs
             .iter()
@@ -365,18 +406,6 @@ impl<S: CloudService> DocsMediator<S> {
             outcome: Outcome::Decrypted,
             suggested_delay: Duration::ZERO,
         })
-    }
-
-    fn handle_open(&mut self, request: &Request) -> Result<Mediated, ExtensionError> {
-        let doc_id = request.query_param("docID").unwrap_or("").to_string();
-        let response = self.server.handle(request);
-        self.decrypt_content_response(&doc_id, response)
-    }
-
-    fn handle_load(&mut self, request: &Request) -> Result<Mediated, ExtensionError> {
-        let doc_id = request.query_param("docID").unwrap_or("").to_string();
-        let response = self.server.handle(request);
-        self.decrypt_content_response(&doc_id, response)
     }
 
     /// Revision history: the request is content-oblivious, so it is
@@ -634,8 +663,12 @@ impl<S: CloudService> DocsMediator<S> {
         })
     }
 
+    /// Saves through [`Self::intercept`]: parses the client's form and
+    /// hands it to the save core under the client's query.
     fn handle_save(&mut self, request: &Request) -> Result<Mediated, ExtensionError> {
-        let doc_id = request.query_param("docID").unwrap_or("").to_string();
+        let doc_id = request.query_param("docID").unwrap_or("");
+        let query: Vec<(&str, &str)> =
+            request.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
         let Some(body) = request.body_text() else {
             return Ok(self.blocked());
         };
@@ -643,20 +676,22 @@ impl<S: CloudService> DocsMediator<S> {
             return Ok(self.blocked());
         };
         if let Some(contents) = form::first_value(&pairs, "docContents") {
-            self.full_save(&doc_id, request, contents)
+            self.full_save(doc_id, &query, contents)
         } else if let Some(delta_text) = form::first_value(&pairs, "delta") {
             let delta = Delta::parse(delta_text)?;
-            self.delta_save(&doc_id, request, &delta)
+            self.delta_save(doc_id, &query, &delta)
         } else {
             // Unknown save shape: drop it (Fig. 2's `dropRequest`).
             Ok(self.blocked())
         }
     }
 
+    /// The full-save core: seals `contents` as the whole document and
+    /// posts it to `/Doc` under `query`.
     fn full_save(
         &mut self,
         doc_id: &str,
-        request: &Request,
+        query: &[(&str, &str)],
         contents: &str,
     ) -> Result<Mediated, ExtensionError> {
         self.ensure_state(doc_id, None)?;
@@ -666,7 +701,8 @@ impl<S: CloudService> DocsMediator<S> {
             let _timed = pe_observe::static_histogram!("mediator.encrypt_ns").span();
             state.transformer.replace_all(contents.as_bytes())?;
         }
-        state.plaintext = contents.to_string();
+        state.plaintext.clear();
+        state.plaintext.push_str(contents);
         state.synced = true;
         let ciphertext = state.transformer.ciphertext();
         if !contents.is_empty() {
@@ -679,16 +715,8 @@ impl<S: CloudService> DocsMediator<S> {
             fields.push((key, value));
         }
         let body = form::encode_pairs(&fields);
-        let response = self.forward_save(request, body);
+        let response = self.server.handle(&Request::post("/Doc", query, body));
         Ok(self.finish_save(doc_id, response))
-    }
-
-    /// Sends a rewritten save: the client's path and query with the
-    /// encrypted form `body`.
-    fn forward_save(&self, request: &Request, body: String) -> Response {
-        let query: Vec<(&str, &str)> =
-            request.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        self.server.handle(&Request::new(Method::Post, &request.path, &query, body))
     }
 
     /// Records the version a successful save landed at and rewrites the
@@ -711,10 +739,12 @@ impl<S: CloudService> DocsMediator<S> {
         self.rewrite_ack(response, version.as_deref())
     }
 
+    /// The delta-save core: transforms `delta` into a ciphertext delta
+    /// against the mirror and posts it to `/Doc` under `query`.
     fn delta_save(
         &mut self,
         doc_id: &str,
-        request: &Request,
+        query: &[(&str, &str)],
         delta: &Delta,
     ) -> Result<Mediated, ExtensionError> {
         if !self.docs.get(doc_id).map(|s| s.synced).unwrap_or(false) {
@@ -737,7 +767,7 @@ impl<S: CloudService> DocsMediator<S> {
                 _ => {
                     let base = self.docs.get(doc_id).map_or("", |s| s.plaintext.as_str());
                     let updated = delta.apply_utf8(base)?;
-                    return self.full_save(doc_id, request, &updated);
+                    return self.full_save(doc_id, query, &updated);
                 }
             }
         }
@@ -769,7 +799,8 @@ impl<S: CloudService> DocsMediator<S> {
         if self.config.pad_updates {
             fields.push(countermeasures::padding_field(&mut self.rng));
         }
-        let response = self.forward_save(request, form::encode_pairs(&fields));
+        let body = form::encode_pairs(&fields);
+        let response = self.server.handle(&Request::post("/Doc", query, body));
         Ok(self.finish_save(doc_id, response))
     }
 
@@ -816,8 +847,10 @@ impl<S: CloudService> DocsMediator<S> {
         Mediated { response: Response::ok(ack), outcome: Outcome::Encrypted, suggested_delay: delay }
     }
 
-    // Convenience wrappers used by clients, examples and benchmarks. They
-    // drive exactly the same interception path a raw client would.
+    // Typed entry points used by clients, examples and benchmarks. They
+    // call the same open and save cores as `intercept` and count the same
+    // `mediator.*` metrics, but skip the client-side form: the plaintext
+    // is never form-encoded, parsed back or hashed.
 
     /// Creates a new encrypted document: forwards the create command,
     /// registers the password, and initializes crypto state.
@@ -849,25 +882,30 @@ impl<S: CloudService> DocsMediator<S> {
             .to_string())
     }
 
-    /// Opens a document, returning its decrypted plaintext.
+    /// Opens a document, returning its decrypted plaintext. Without a
+    /// registered password and with no tenant login, it returns the
+    /// stored ciphertext, which is what `intercept` shows such a client.
     ///
     /// # Errors
     ///
     /// Fails for missing passwords, server errors, or integrity failures.
     pub fn open_document(&mut self, doc_id: &str) -> Result<String, ExtensionError> {
-        let mediated =
-            self.intercept(&Request::post("/Doc", &[("docID", doc_id), ("cmd", "open")], ""))?;
-        if !mediated.response.is_success() {
-            return Err(ExtensionError::ServerError {
-                status: mediated.response.status,
-                message: mediated.response.body_text().unwrap_or("").to_string(),
-            });
+        let request = Request::post("/Doc", &[("docID", doc_id), ("cmd", "open")], "");
+        let opened = self.counted(
+            |m| {
+                let response = m.server.handle(&request);
+                m.open_core(doc_id, response)
+            },
+            Opened::outcome,
+        )?;
+        match opened {
+            Opened::Refused(response) => Err(ExtensionError::ServerError {
+                status: response.status,
+                message: response.body_text().unwrap_or("").to_string(),
+            }),
+            Opened::Unkeyed { content, .. } => Ok(content),
+            Opened::Decrypted(_) => Ok(self.docs[doc_id].plaintext.clone()),
         }
-        let body = mediated.response.body_text().unwrap_or("");
-        let pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
-            detail: format!("open response: {e}"),
-        })?;
-        Ok(form::first_value(&pairs, "content").unwrap_or("").to_string())
     }
 
     /// Performs a full (docContents) save.
@@ -876,8 +914,7 @@ impl<S: CloudService> DocsMediator<S> {
     ///
     /// Fails when crypto state cannot be established or the server errors.
     pub fn save_full(&mut self, doc_id: &str, contents: &str) -> Result<Mediated, ExtensionError> {
-        let body = form::encode_pairs(&[("docContents", contents)]);
-        self.intercept(&Request::post("/Doc", &[("docID", doc_id)], body))
+        self.counted(|m| m.full_save(doc_id, &[("docID", doc_id)], contents), |m| m.outcome)
     }
 
     /// Performs an incremental (delta) save.
@@ -886,8 +923,7 @@ impl<S: CloudService> DocsMediator<S> {
     ///
     /// Fails when the delta does not apply or the server errors.
     pub fn save_delta(&mut self, doc_id: &str, delta: &Delta) -> Result<Mediated, ExtensionError> {
-        let body = form::encode_pairs(&[("delta", delta.serialize().as_str())]);
-        self.intercept(&Request::post("/Doc", &[("docID", doc_id)], body))
+        self.counted(|m| m.delta_save(doc_id, &[("docID", doc_id)], delta), |m| m.outcome)
     }
 
     /// Rotates the document's password: derives a fresh key (new salt),

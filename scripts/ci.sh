@@ -17,6 +17,8 @@ cargo clippy --workspace --offline -- -D warnings
 echo "== forced-backend crypto matrix =="
 # The whole crypto + core suite must pass under every forced AES backend
 # so non-AES-NI hosts still exercise the dispatch and fallback paths.
+# The mediator's typed-vs-wire parity test runs under each backend too,
+# so the typed open/save wrappers and `intercept` agree on every engine.
 # The same variable pins the SHA-256 engine: scalar and table force the
 # portable compression function, aesni uses SHA-NI where CPUID has it.
 # The aesni pass is skipped gracefully when CPUID says unsupported
@@ -30,6 +32,7 @@ fi
 for backend in $backends; do
   echo "-- PE_CRYPTO_FORCE_BACKEND=$backend --"
   PE_CRYPTO_FORCE_BACKEND="$backend" cargo test -q --offline -p pe-crypto -p pe-core
+  PE_CRYPTO_FORCE_BACKEND="$backend" cargo test -q --offline -p pe-extension --test typed_wrappers
 done
 
 echo "== crypto_throughput smoke =="
